@@ -11,9 +11,9 @@
 //! Engines: angr (with the five documented lifter bugs), BINSEC, SymEx-VP,
 //! BinSym. The sorts match the paper's counts exactly (n! by construction);
 //! for the RIOT-derived parsers the absolute counts belong to our
-//! re-implementation (see EXPERIMENTS.md), but the qualitative result is
-//! identical: angr misses paths on `base64-encode` and `uri-parser`, all
-//! other engines agree on every row.
+//! re-implementation (see the README, "Path counts and persona cost
+//! models"), but the qualitative result is identical: angr misses paths on
+//! `base64-encode` and `uri-parser`, all other engines agree on every row.
 //!
 //! `--workers N` (env fallback `BINSYM_WORKERS`) runs every engine on a
 //! sharded `ParallelSession` — the path counts must not change. Neither

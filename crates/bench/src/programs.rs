@@ -24,7 +24,8 @@ pub struct Program {
     pub expected_paths_buggy_angr: u64,
     /// The paper's Table I path count for correct engines (the absolute
     /// values differ from ours for the RIOT-derived programs because source
-    /// and compiler differ; see EXPERIMENTS.md).
+    /// and compiler differ; see the README, "Path counts and persona cost
+    /// models").
     pub paper_paths: u64,
     /// The paper's Table I path count for angr.
     pub paper_paths_angr: u64,

@@ -8,6 +8,20 @@
 //! literal `g`; asserting `t` in that frame adds the clause `¬g ∨ lit(t)`,
 //! and `check_sat` solves under the assumption that every live guard is
 //! true. Popping a frame permanently disables its guard.
+//!
+//! Popping does not delete anything: the frame's clauses stay in the
+//! database, permanently satisfied by the unit `¬g`, and each one's watch
+//! stays in its asserted literal's watch list, so every later solve that
+//! makes that literal false still visits it. The cost of a query therefore
+//! grows with every assertion ever made, live or not. Callers that pose
+//! many related queries should keep frames aligned with the queries'
+//! shared structure — one frame per term, popping only what the next query
+//! does not share — rather than re-asserting a whole prefix per query. The
+//! sequential exploration session does this (frames mirror the current
+//! path). On the base64-encode benchmark, re-asserting each query's prefix
+//! left 47.6k problem clauses and 19.7k watch visits per check, where a
+//! fresh solver per query holds 1.9k clauses and makes 3.0k visits;
+//! aligned frames bring it down to 8.2k clauses and 5.4k visits.
 
 use crate::bitblast::BitBlaster;
 use crate::model::Model;
