@@ -61,15 +61,19 @@
 //! `--resume` is ignored here — an ablation measures complete runs, and a
 //! resumed round would skip the very work being timed.
 //!
-//! `--metrics` adds per-phase seconds (execute vs solve vs gate, averaged
-//! over the rounds like the wall times) and query-latency percentiles to
-//! the timed ablations' JSON rows; `--trace PATH` records the campaign
-//! into one Chrome trace-event file for `ui.perfetto.dev`.
+//! Ablations 3, 5 and 6 read their counters from a [`MetricsRegistry`]
+//! installed on both sides of every comparison. `--metrics` adds its
+//! per-phase seconds (execute vs solve vs gate, averaged over the rounds
+//! like the wall times), every counter, and query-latency percentiles to
+//! those JSON rows; `--trace PATH` records the campaign into one Chrome
+//! trace-event file for `ui.perfetto.dev`.
 //!
-//! `--runs N` averages the timed ablations (3 and 5) over N interleaved
-//! rounds (default 1), damping scheduler noise on shared hardware; the
-//! counters are deterministic and identical across rounds, and the
-//! emitted rows carry the per-round values (totals divided by N).
+//! `--runs N` averages the timed ablations (3, 5 and 6) over N interleaved
+//! rounds (default 1), damping scheduler noise on shared hardware. The
+//! rows carry each counter's per-round mean, rounded: the path, query,
+//! gate, and checkpoint counters are exact, so the mean is the value of
+//! any single round; the warm-cache counters at two or more workers
+//! depend on the work-stealing schedule and vary between rounds.
 //!
 //! `--smoke` is the CI-sized run: ablation 3 (warm start on/off, on the
 //! smallest Table I program and on uri-parser — the structural-keying
@@ -84,16 +88,14 @@
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use binsym::{
-    AddressPolicyKind, BitblastBackend, ChromeTraceSink, CountingObserver, MetricsRegistry,
-    Session, TraceSink,
+    AddressPolicyKind, BitblastBackend, ChromeTraceSink, Counter, MetricsRegistry, Session,
+    TraceSink,
 };
-use binsym_bench::cli::{
-    add_counters, counters_per_round, metrics_json, write_json, BenchOpts, Json,
-};
+use binsym_bench::cli::{counter_per_round, metrics_json, write_json, BenchOpts, Json};
 use binsym_bench::{
     all_programs, coverage_trajectory, policy_trajectory, programs, SearchStrategy, TABLE_LOOKUP,
     TABLE_LOOKUP_SYMBOLIC_PATHS,
@@ -414,28 +416,20 @@ fn ablation3(
         let mut workers = 1usize;
         while workers <= max_workers {
             let mut seconds = [0.0f64; 2];
-            let mut tallies = [CountingObserver::new(); 2];
-            // One registry per side, accumulating across all rounds —
-            // `metrics_json` averages back to per-round values.
-            let registries: [Option<Arc<MetricsRegistry>>; 2] =
-                std::array::from_fn(|_| metrics.then(|| Arc::new(MetricsRegistry::new(workers))));
+            // One registry per side, accumulating across all rounds. Both
+            // sides carry the identical instrumentation, so the cold/warm
+            // delta measures the cache alone.
+            let registries: [Arc<MetricsRegistry>; 2] =
+                std::array::from_fn(|_| Arc::new(MetricsRegistry::new(workers)));
             // Interleave the cold/warm rounds so slow machine drift hits
             // both sides equally.
             for _ in 0..runs.max(1) {
                 for (slot, warm) in [false, true].into_iter().enumerate() {
-                    // Both sides carry the identical observer plumbing
-                    // (the shared-mutex counter), so the cold/warm delta
-                    // measures the cache alone, not observer overhead.
-                    let counters = Arc::new(Mutex::new(CountingObserver::new()));
-                    let handle = Arc::clone(&counters);
                     let mut builder = Session::builder(Spec::rv32im())
                         .binary(&elf)
                         .workers(workers)
                         .warm_start(warm)
-                        .observer_factory(move |_| Box::new(Arc::clone(&handle)));
-                    if let Some(registry) = &registries[slot] {
-                        builder = builder.metrics(Arc::clone(registry));
-                    }
+                        .metrics(Arc::clone(&registries[slot]));
                     if let Some(sink) = trace {
                         builder = builder.trace(Arc::clone(sink));
                     }
@@ -444,17 +438,13 @@ fn ablation3(
                     let s = par.run_all().expect("explores");
                     assert_eq!(s.paths, p.expected_paths, "sharding must not change paths");
                     seconds[slot] += start.elapsed().as_secs_f64();
-                    add_counters(&mut tallies[slot], &counters.lock().expect("counters"));
                 }
             }
             for slot in &mut seconds {
                 *slot /= runs.max(1) as f64;
             }
             for (slot, warm) in [false, true].into_iter().enumerate() {
-                // Counters are deterministic across rounds, so the
-                // per-round average reproduces any single round — the
-                // rows stay comparable whatever `--runs` was.
-                let c = counters_per_round(&tallies[slot], runs.max(1));
+                let report = registries[slot].report();
                 let mut row = vec![
                     ("ablation", Json::s("worker-scaling")),
                     ("benchmark", Json::s(p.name)),
@@ -469,21 +459,21 @@ fn ablation3(
                     ("sequential_seconds", Json::F(seq.as_secs_f64())),
                 ];
                 if warm {
-                    row.extend([
-                        ("warm_hits", Json::U(c.warm_hits)),
-                        ("warm_misses", Json::U(c.warm_misses)),
-                        ("warm_replays_skipped", Json::U(c.warm_replays_skipped)),
-                        ("warm_prefix_reused", Json::U(c.warm_prefix_reused)),
-                        ("warm_prefix_blasted", Json::U(c.warm_prefix_blasted)),
-                        ("warm_context_keys", Json::U(c.warm_context_keys)),
-                        (
-                            "warm_cross_parent_reuse",
-                            Json::U(c.warm_cross_parent_reuse),
-                        ),
-                    ]);
+                    row.extend(
+                        [
+                            Counter::WarmHits,
+                            Counter::WarmMisses,
+                            Counter::WarmReplaysSkipped,
+                            Counter::WarmPrefixReused,
+                            Counter::WarmPrefixBlasted,
+                            Counter::WarmContextKeys,
+                            Counter::WarmCrossParentReuse,
+                        ]
+                        .map(|c| (c.name(), Json::U(counter_per_round(&report, c, runs)))),
+                    );
                 }
-                if let Some(registry) = &registries[slot] {
-                    row.push(("metrics", metrics_json(&registry.report(), runs.max(1))));
+                if metrics {
+                    row.push(("metrics", metrics_json(&report, runs.max(1))));
                 }
                 json_rows.push(Json::O(row));
             }
@@ -553,27 +543,20 @@ fn ablation5(
     for &p in progs {
         let elf = p.build();
         let mut seconds = [0.0f64; 2];
-        let mut tallies = [CountingObserver::new(); 2];
         let mut checks = [0u64; 2];
-        // One registry per side, accumulating across all rounds —
-        // `metrics_json` averages back to per-round values (the gate's
-        // win shows up as solve seconds moving into gate seconds).
-        let registries: [Option<Arc<MetricsRegistry>>; 2] =
-            std::array::from_fn(|_| metrics.then(|| Arc::new(MetricsRegistry::new(workers))));
+        // One registry per side, accumulating across all rounds (the
+        // gate's win shows up as solve seconds moving into gate seconds).
+        let registries: [Arc<MetricsRegistry>; 2] =
+            std::array::from_fn(|_| Arc::new(MetricsRegistry::new(workers)));
         // Interleave the off/on rounds so slow machine drift hits both
         // sides equally.
         for _ in 0..runs.max(1) {
             for (slot, analysis) in [false, true].into_iter().enumerate() {
-                let counters = Arc::new(Mutex::new(CountingObserver::new()));
-                let handle = Arc::clone(&counters);
                 let mut builder = Session::builder(Spec::rv32im())
                     .binary(&elf)
                     .workers(workers)
                     .static_analysis(analysis)
-                    .observer_factory(move |_| Box::new(Arc::clone(&handle)));
-                if let Some(registry) = &registries[slot] {
-                    builder = builder.metrics(Arc::clone(registry));
-                }
+                    .metrics(Arc::clone(&registries[slot]));
                 if let Some(sink) = trace {
                     builder = builder.trace(Arc::clone(sink));
                 }
@@ -583,31 +566,34 @@ fn ablation5(
                 assert_eq!(s.paths, p.expected_paths, "the gate must not change paths");
                 seconds[slot] += start.elapsed().as_secs_f64();
                 checks[slot] += s.solver_checks;
-                add_counters(&mut tallies[slot], &counters.lock().expect("counters"));
             }
         }
         let runs = runs.max(1);
         for slot in &mut seconds {
             *slot /= runs as f64;
         }
-        let off = counters_per_round(&tallies[0], runs);
-        let on = counters_per_round(&tallies[1], runs);
+        let reports = registries.map(|r| r.report());
+        let count = |slot: usize, c: Counter| counter_per_round(&reports[slot], c, runs);
         let checks = [checks[0] / runs as u64, checks[1] / runs as u64];
+        let eliminated = count(1, Counter::GateEliminated);
         // Every screened-out query must be accounted for one-to-one in
         // the solver-check delta.
         assert_eq!(
             checks[0],
-            checks[1] + on.sa_queries_eliminated,
+            checks[1] + eliminated,
             "{}: eliminated queries must explain the full check delta",
             p.name
         );
-        let unsat = off.queries - off.sat_queries;
         println!(
             "{:<16} {:>9.2}s {:>9.2}s {:>12} {:>12} {:>10}",
-            p.name, seconds[0], seconds[1], unsat, on.sa_queries_eliminated, on.sa_facts
+            p.name,
+            seconds[0],
+            seconds[1],
+            count(0, Counter::UnsatQueries),
+            eliminated,
+            count(1, Counter::GateFacts)
         );
         for (slot, analysis) in [false, true].into_iter().enumerate() {
-            let c = if analysis { &on } else { &off };
             let mut row = vec![
                 ("ablation", Json::s("static-analysis")),
                 ("benchmark", Json::s(p.name)),
@@ -616,18 +602,18 @@ fn ablation5(
                 ("runs", Json::U(runs as u64)),
                 ("seconds", Json::F(seconds[slot])),
                 ("solver_checks", Json::U(checks[slot])),
-                ("queries", Json::U(c.queries)),
-                ("unsat_queries", Json::U(c.queries - c.sat_queries)),
+                ("queries", Json::U(count(slot, Counter::Queries))),
+                ("unsat_queries", Json::U(count(slot, Counter::UnsatQueries))),
             ];
             if analysis {
                 row.extend([
-                    ("sa_queries", Json::U(c.sa_queries)),
-                    ("sa_queries_eliminated", Json::U(c.sa_queries_eliminated)),
-                    ("sa_facts", Json::U(c.sa_facts)),
+                    ("sa_queries", Json::U(count(slot, Counter::GateScreened))),
+                    ("sa_queries_eliminated", Json::U(eliminated)),
+                    ("sa_facts", Json::U(count(slot, Counter::GateFacts))),
                 ]);
             }
-            if let Some(registry) = &registries[slot] {
-                row.push(("metrics", metrics_json(&registry.report(), runs)));
+            if metrics {
+                row.push(("metrics", metrics_json(&reports[slot], runs)));
             }
             json_rows.push(Json::O(row));
         }
@@ -658,17 +644,16 @@ fn ablation6(
     for &p in progs {
         let elf = p.build();
         let mut seconds = [0.0f64; 3];
-        let mut tallies = [CountingObserver::new(); 3];
+        let registries: [Arc<MetricsRegistry>; 3] =
+            std::array::from_fn(|_| Arc::new(MetricsRegistry::new(workers)));
         // Interleave the intervals so slow machine drift hits every column
         // equally, like the other timed ablations.
         for _ in 0..runs.max(1) {
             for (slot, every) in EVERY.into_iter().enumerate() {
-                let counters = Arc::new(Mutex::new(CountingObserver::new()));
-                let handle = Arc::clone(&counters);
                 let mut builder = Session::builder(Spec::rv32im())
                     .binary(&elf)
                     .workers(workers)
-                    .observer_factory(move |_| Box::new(Arc::clone(&handle)));
+                    .metrics(Arc::clone(&registries[slot]));
                 let mut scratch = None;
                 if every > 0 {
                     let path = ablation6_target(checkpoint_base, every, p.name, &mut scratch);
@@ -682,7 +667,6 @@ fn ablation6(
                     "checkpointing must not change paths"
                 );
                 seconds[slot] += start.elapsed().as_secs_f64();
-                add_counters(&mut tallies[slot], &counters.lock().expect("counters"));
                 if let Some(path) = scratch {
                     let _ = std::fs::remove_file(path);
                 }
@@ -692,19 +676,24 @@ fn ablation6(
         for slot in &mut seconds {
             *slot /= runs as f64;
         }
-        let every1 = counters_per_round(&tallies[2], runs);
+        let written: [u64; 3] = std::array::from_fn(|slot| {
+            counter_per_round(
+                &registries[slot].report(),
+                Counter::CheckpointsWritten,
+                runs,
+            )
+        });
         assert_eq!(
-            every1.checkpoints_written,
+            written[2],
             p.expected_paths + 1,
             "{}: every-1 must write once per committed path plus the drain",
             p.name
         );
         println!(
             "{:<16} {:>9.2}s {:>9.2}s {:>9.2}s {:>12}",
-            p.name, seconds[0], seconds[1], seconds[2], every1.checkpoints_written
+            p.name, seconds[0], seconds[1], seconds[2], written[2]
         );
         for (slot, every) in EVERY.into_iter().enumerate() {
-            let c = counters_per_round(&tallies[slot], runs);
             json_rows.push(Json::O(vec![
                 ("ablation", Json::s("checkpoint-overhead")),
                 ("benchmark", Json::s(p.name)),
@@ -717,7 +706,7 @@ fn ablation6(
                     Json::F(seconds[slot] / p.expected_paths as f64),
                 ),
                 ("paths", Json::U(p.expected_paths)),
-                ("checkpoints_written", Json::U(c.checkpoints_written)),
+                ("checkpoints_written", Json::U(written[slot])),
             ]));
         }
     }

@@ -22,8 +22,8 @@
 //! report covered text PCs). `--json PATH` writes a machine-readable
 //! summary for the perf trajectory tracked in `BENCH_*.json`.
 //!
-//! `--metrics` collects per-phase wall time and solver-query latency
-//! percentiles into each JSON row; `--trace PATH` records every run of the
+//! `--metrics` collects per-phase wall time, the engine counters, and
+//! solver-query latency percentiles into each JSON row; `--trace PATH` records every run of the
 //! campaign into one Chrome trace-event file, one track per worker, for
 //! `ui.perfetto.dev`. Both are wall-time-only: path counts and records are
 //! byte-identical with and without them (pinned in the determinism suites).
@@ -34,8 +34,8 @@
 //! `--resume PATH` seeds each run from the matching file of a previous
 //! invocation. Both require `--workers N` (N > 0) and are wall-time-only:
 //! a resumed campaign reports the same path counts as an uninterrupted
-//! one. The `checkpoints_written`/`resumed_from` counters surface in the
-//! ablation bin's `--json` rows.
+//! one. With `--metrics`, each row's `metrics.counters` object reports the
+//! run's `checkpoints_written` and `resumes`.
 
 use std::sync::Arc;
 use std::time::Instant;

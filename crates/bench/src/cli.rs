@@ -262,58 +262,18 @@ pub fn write_json(path: &Path, value: &Json) {
     println!("\nJSON summary written to {}", path.display());
 }
 
-/// Accumulates one round's [`binsym::CountingObserver`] totals into a
-/// multi-run sum (the timing harnesses interleave rounds and average).
-pub fn add_counters(sum: &mut binsym::CountingObserver, round: &binsym::CountingObserver) {
-    sum.steps += round.steps;
-    sum.branches += round.branches;
-    sum.paths += round.paths;
-    sum.queries += round.queries;
-    sum.sat_queries += round.sat_queries;
-    sum.warm_hits += round.warm_hits;
-    sum.warm_misses += round.warm_misses;
-    sum.warm_replays_skipped += round.warm_replays_skipped;
-    sum.warm_prefix_reused += round.warm_prefix_reused;
-    sum.warm_prefix_blasted += round.warm_prefix_blasted;
-    sum.warm_context_keys += round.warm_context_keys;
-    sum.warm_cross_parent_reuse += round.warm_cross_parent_reuse;
-    sum.sa_queries += round.sa_queries;
-    sum.sa_queries_eliminated += round.sa_queries_eliminated;
-    sum.sa_facts += round.sa_facts;
-    sum.checkpoints_written += round.checkpoints_written;
-    sum.resumed_from += round.resumed_from;
-}
-
-/// Divides totals accumulated over `runs` rounds back to their per-round
-/// values, so `--runs N` reports the same counters as a single run (the
-/// timings are averaged; the counters are deterministic across rounds, so
-/// the division is exact — a remainder would mean a round diverged, which
-/// the determinism suites forbid).
-pub fn counters_per_round(sum: &binsym::CountingObserver, runs: usize) -> binsym::CountingObserver {
+/// The per-round mean of `counter` in a report merged over `runs` rounds,
+/// rounded to the nearest integer. On a complete run every counter but the
+/// `Warm*` ones is exact, so its mean is the single-round value; the
+/// warm-cache counters at two or more workers depend on the work-stealing
+/// schedule, so for them this is a rounded mean.
+pub fn counter_per_round(
+    report: &binsym::MetricsReport,
+    counter: binsym::Counter,
+    runs: usize,
+) -> u64 {
     let n = runs.max(1) as u64;
-    let per = |total: u64| -> u64 {
-        debug_assert_eq!(total % n, 0, "counter diverged across rounds");
-        total / n
-    };
-    binsym::CountingObserver {
-        steps: per(sum.steps),
-        branches: per(sum.branches),
-        paths: per(sum.paths),
-        queries: per(sum.queries),
-        sat_queries: per(sum.sat_queries),
-        warm_hits: per(sum.warm_hits),
-        warm_misses: per(sum.warm_misses),
-        warm_replays_skipped: per(sum.warm_replays_skipped),
-        warm_prefix_reused: per(sum.warm_prefix_reused),
-        warm_prefix_blasted: per(sum.warm_prefix_blasted),
-        warm_context_keys: per(sum.warm_context_keys),
-        warm_cross_parent_reuse: per(sum.warm_cross_parent_reuse),
-        sa_queries: per(sum.sa_queries),
-        sa_queries_eliminated: per(sum.sa_queries_eliminated),
-        sa_facts: per(sum.sa_facts),
-        checkpoints_written: per(sum.checkpoints_written),
-        resumed_from: per(sum.resumed_from),
-    }
+    (report.counter(counter) + n / 2) / n
 }
 
 /// Renders a [`binsym::Summary`] as a JSON object (shared row shape of
@@ -332,20 +292,24 @@ pub fn summary_json(summary: &binsym::Summary, seconds: f64) -> Json {
 
 /// Renders a [`binsym::MetricsReport`] accumulated over `runs` rounds as a
 /// JSON object: per-phase wall seconds (averaged back to one round, like
-/// the timings), per-round path/query counts (deterministic across rounds,
-/// so the division is exact), and the p50/p90/p99 solver-query latency
-/// percentiles over the union histogram of all rounds.
+/// the timings), every [`binsym::Counter`] as its per-round mean (see
+/// [`counter_per_round`]: exact for all but the warm-cache counters at two
+/// or more workers), and the p50/p90/p99 solver-query latency percentiles
+/// over the union histogram of all rounds.
 pub fn metrics_json(report: &binsym::MetricsReport, runs: usize) -> Json {
     let n = runs.max(1) as u64;
     let phases: Vec<(&'static str, Json)> = binsym::Phase::ALL
         .iter()
         .map(|&p| (p.name(), Json::F(report.phase_seconds(p) / n as f64)))
         .collect();
+    let counters: Vec<(&'static str, Json)> = binsym::Counter::ALL
+        .iter()
+        .map(|&c| (c.name(), Json::U(counter_per_round(report, c, runs))))
+        .collect();
     let latency = report.query_latency();
     Json::O(vec![
         ("phase_seconds", Json::O(phases)),
-        ("paths", Json::U(report.paths / n)),
-        ("queries", Json::U(report.queries / n)),
+        ("counters", Json::O(counters)),
         (
             "query_latency",
             Json::O(vec![
@@ -785,70 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_run_counters_average_back_to_single_round_values() {
-        use binsym::CountingObserver;
-        let round = CountingObserver {
-            queries: 719,
-            sat_queries: 719,
-            warm_hits: 12,
-            sa_queries: 2421,
-            sa_queries_eliminated: 1702,
-            sa_facts: 31,
-            ..CountingObserver::new()
-        };
-        let mut sum = CountingObserver::new();
-        for _ in 0..3 {
-            add_counters(&mut sum, &round);
-        }
-        assert_eq!(sum.sa_queries_eliminated, 3 * 1702, "accumulated");
-        let avg = counters_per_round(&sum, 3);
-        assert_eq!(avg.queries, round.queries);
-        assert_eq!(avg.warm_hits, round.warm_hits);
-        assert_eq!(avg.sa_queries, round.sa_queries);
-        assert_eq!(avg.sa_queries_eliminated, round.sa_queries_eliminated);
-        assert_eq!(avg.sa_facts, round.sa_facts);
-        // runs = 0 clamps to a single round.
-        assert_eq!(counters_per_round(&round, 0).queries, round.queries);
-    }
-
-    #[test]
-    fn ablation_row_emits_averaged_counters() {
-        // The regression this guards: `--json --runs N` used to average
-        // the seconds but emit the counters of whichever round ran last.
-        // Build the row the way the ablation bin does and parse the
-        // counters back out of the rendered JSON.
-        use binsym::CountingObserver;
-        let one = CountingObserver {
-            sa_queries: 2421,
-            sa_queries_eliminated: 1702,
-            ..CountingObserver::new()
-        };
-        let mut sum = CountingObserver::new();
-        for _ in 0..4 {
-            add_counters(&mut sum, &one);
-        }
-        let c = counters_per_round(&sum, 4);
-        let row = Json::O(vec![
-            ("ablation", Json::s("static-analysis")),
-            ("sa_queries", Json::U(c.sa_queries)),
-            ("sa_queries_eliminated", Json::U(c.sa_queries_eliminated)),
-        ]);
-        let rendered = row.render();
-        let field = |key: &str| -> u64 {
-            let pat = format!("\"{key}\":");
-            let at = rendered.find(&pat).expect("key present") + pat.len();
-            rendered[at..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .expect("number")
-        };
-        assert_eq!(field("sa_queries"), 2421);
-        assert_eq!(field("sa_queries_eliminated"), 1702);
-    }
-
-    #[test]
     fn json_renders_escaped_and_nested() {
         let v = Json::O(vec![
             ("name", Json::s("a\"b\\c")),
@@ -892,18 +792,23 @@ mod tests {
 
     #[test]
     fn metrics_json_averages_over_runs() {
-        use binsym::{MetricsRegistry, Phase};
+        use binsym::{Counter, MetricsRegistry, Phase};
         let registry = MetricsRegistry::new(1);
-        // Two identical rounds on shard 0: 4s of solving, 6 paths,
-        // 2 queries total.
-        for _ in 0..2 {
-            registry.shard(0).record_phase(Phase::Solve, 2_000_000_000);
-            for _ in 0..3 {
-                registry.shard(0).note_path();
-            }
-            registry.shard(0).record_query(1_000_000);
+        // Two rounds on shard 0: 4s of solving, 6 paths, 2 queries, 3404
+        // gate eliminations total, and warm hits that differ per round
+        // (2 then 3), as they do at two or more workers.
+        for hits in [2, 3] {
+            let shard = registry.shard(0);
+            shard.record_phase(Phase::Solve, 2_000_000_000);
+            shard.count(Counter::Paths, 3);
+            shard.record_query(1_000_000);
+            shard.count(Counter::GateEliminated, 1702);
+            shard.count(Counter::WarmHits, hits);
         }
-        let rendered = metrics_json(&registry.report(), 2).render();
+        let report = registry.report();
+        // runs = 0 clamps to a single round.
+        assert_eq!(counter_per_round(&report, Counter::Paths, 0), 6);
+        let rendered = metrics_json(&report, 2).render();
         let doc = JsonValue::parse(&rendered).expect("metrics json parses");
         let phase = doc.get("phase_seconds").expect("phase_seconds");
         let solve = phase
@@ -911,8 +816,13 @@ mod tests {
             .and_then(JsonValue::as_f64)
             .expect("solve");
         assert!((solve - 2.0).abs() < 1e-9, "per-round solve secs: {solve}");
-        assert_eq!(doc.get("paths").and_then(JsonValue::as_f64), Some(3.0));
-        assert_eq!(doc.get("queries").and_then(JsonValue::as_f64), Some(1.0));
+        let counters = doc.get("counters").expect("counters");
+        let counter = |c: Counter| counters.get(c.name()).and_then(JsonValue::as_f64);
+        assert_eq!(counter(Counter::Paths), Some(3.0));
+        assert_eq!(counter(Counter::Queries), Some(1.0));
+        assert_eq!(counter(Counter::GateEliminated), Some(1702.0));
+        assert_eq!(counter(Counter::WarmHits), Some(3.0), "rounded mean of 2.5");
+        assert_eq!(counter(Counter::Resumes), Some(0.0), "idle counters appear");
         let latency = doc.get("query_latency").expect("query_latency");
         assert_eq!(latency.get("count").and_then(JsonValue::as_f64), Some(1.0));
         let p99 = latency

@@ -1042,7 +1042,10 @@ small:
                 "instrumentation is wall-time-only ({workers} workers)"
             );
             let report = instrumented.metrics.expect("metrics collected");
-            assert_eq!(report.paths, instrumented.summary.paths);
+            assert_eq!(
+                report.counter(binsym::Counter::Paths),
+                instrumented.summary.paths
+            );
             assert!(report.query_latency().total() > 0, "queries were timed");
         }
         assert!(!sink.is_empty(), "phases were traced");

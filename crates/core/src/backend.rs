@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use binsym_smt::{smtlib, Analysis, Model, SatResult, Solver, Sort, Term, TermManager};
 
-use crate::observe::StaticAnalysisStats;
+use crate::metrics::{Counter, Instruments, Phase};
 
 /// A solver usable by the exploration loop: scoped assertions plus
 /// satisfiability checking with model extraction.
@@ -302,8 +302,9 @@ pub struct ScreenReport {
     /// witness extended by analysis-forced input bytes. `None` means the
     /// query is residual and must be discharged by the backend.
     pub verdict: Option<(SatResult, Option<Vec<u8>>)>,
-    /// Per-query accounting for [`crate::Observer::on_static_analysis`].
-    pub stats: StaticAnalysisStats,
+    /// Word-level facts the analysis derived (boolean truth values,
+    /// interval refinements, and order-closure edges).
+    pub facts: u64,
 }
 
 /// The word-level static-analysis gate in front of a [`SolverBackend`].
@@ -372,12 +373,7 @@ impl StaticGate {
     }
 
     /// Screens one flip query. Returns `None` when the gate is disabled
-    /// (the caller proceeds exactly as without a gate and fires no
-    /// static-analysis observer hook).
-    ///
-    /// Callers time this call under [`crate::Phase::Gate`], so a screen's
-    /// cost — and the solve time it saves — shows up per-phase in the
-    /// metrics report and as a `gate` span in the trace.
+    /// (the caller proceeds exactly as without a gate).
     pub fn screen(
         &self,
         tm: &mut TermManager,
@@ -393,11 +389,7 @@ impl StaticGate {
             an.assume(tm, c);
         }
         let verdict = an.verdict(tm, flipped);
-        let stats = StaticAnalysisStats {
-            eliminated: verdict.map(|v| if v { SatResult::Sat } else { SatResult::Unsat }),
-            conjuncts: prefix.len() as u64,
-            facts: an.fact_count(),
-        };
+        let facts = an.fact_count();
         let verdict = match verdict {
             None => None,
             Some(false) => {
@@ -430,7 +422,30 @@ impl StaticGate {
                 Some((SatResult::Sat, Some(bytes)))
             }
         };
-        Some(ScreenReport { verdict, stats })
+        Some(ScreenReport { verdict, facts })
+    }
+
+    /// [`screen`](Self::screen) as the engines call it: timed under
+    /// [`Phase::Gate`] (so a screen's cost — and the solve time it saves —
+    /// shows up per-phase and as a `gate` trace span) and counted into the
+    /// `Gate*` [`Counter`]s.
+    pub(crate) fn screen_instrumented(
+        &self,
+        instr: &Instruments,
+        tm: &mut TermManager,
+        prefix: &[Term],
+        flipped: Term,
+        parent_input: &[u8],
+    ) -> Option<ScreenReport> {
+        let started = instr.begin(Phase::Gate);
+        let report = self.screen(tm, prefix, flipped, parent_input);
+        instr.finish(started, Phase::Gate);
+        if let Some(r) = &report {
+            instr.count(Counter::GateScreened, 1);
+            instr.count(Counter::GateEliminated, u64::from(r.verdict.is_some()));
+            instr.count(Counter::GateFacts, r.facts);
+        }
+        report
     }
 
     /// Discharges the full query in a fresh solver and panics (with the
@@ -526,8 +541,7 @@ mod tests {
             .screen(&mut tm, &[cond], flipped, &[0, 0])
             .expect("enabled");
         assert_eq!(report.verdict, Some((SatResult::Unsat, None)));
-        assert_eq!(report.stats.eliminated, Some(SatResult::Unsat));
-        assert!(report.stats.facts > 0);
+        assert!(report.facts > 0);
     }
 
     #[test]
@@ -543,7 +557,6 @@ mod tests {
             .screen(&mut tm, &[cond], unrelated, &[0, 0, 0])
             .expect("enabled");
         assert_eq!(report.verdict, None);
-        assert_eq!(report.stats.eliminated, None);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   decides — without ever changing results (see
 //!   [`SessionBuilder::static_analysis`]);
 //! * [`Observer`] — instrumentation hooks (`on_step`/`on_branch`/
-//!   `on_path`/`on_query`) for cost models and coverage tracking.
+//!   `on_path`/`on_query`/`on_checkpoint`) for cost models and coverage
+//!   tracking; engine counters and phase times go to a [`MetricsRegistry`].
 //!
 //! Paths stream lazily from [`Session::paths`]; [`Session::run_all`]
 //! drains them into a [`Summary`]. All errors unify under [`Error`].
@@ -104,11 +105,9 @@ pub use error::Error;
 pub use machine::{ExecError, StepResult, SymMachine, TrailEntry};
 pub use memory::{AddressPolicy, AddressPolicyKind, Resolution};
 pub use metrics::{
-    Histogram, HistogramSnapshot, MetricsRegistry, MetricsReport, Phase, WorkerMetrics,
+    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsReport, Phase, WorkerMetrics,
 };
-pub use observe::{
-    CheckpointEvent, CountingObserver, NullObserver, Observer, StaticAnalysisStats, WarmQueryStats,
-};
+pub use observe::{CheckpointEvent, CountingObserver, NullObserver, Observer};
 pub use parallel::{
     BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, ShardStrategyFactory,
 };

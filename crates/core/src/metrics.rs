@@ -1,26 +1,27 @@
-//! Lock-free phase-timing metrics, sharded per worker.
+//! Lock-free engine metrics, sharded per worker: phase timers, a
+//! query-latency histogram, and exact event [`Counter`]s.
 //!
-//! The engine's existing [`Observer`](crate::Observer) seam counts *events*
-//! (queries, cache hits, gate eliminations); this module measures *where the
-//! time goes*. A [`MetricsRegistry`] holds one [`WorkerMetrics`] shard per
-//! worker thread (plus one for the coordinating thread); each worker writes
-//! only its own shard through relaxed atomics, so the hot path takes no lock
-//! — unlike the `Arc<Mutex<CountingObserver>>` pattern the ablation harness
-//! uses for plain counters. After a run, [`MetricsRegistry::report`] merges
+//! A [`MetricsRegistry`] holds one [`WorkerMetrics`] shard per worker
+//! thread (plus one for the coordinating thread); each worker writes only
+//! its own shard through relaxed atomics, so the hot path takes no lock.
+//! It is the engine's one counting system: paths, solver queries, gate
+//! screenings, warm-cache reuse, and checkpoint writes all land here, next
+//! to the phase timers. After a run, [`MetricsRegistry::report`] merges
 //! the shards into a plain-data [`MetricsReport`] with per-[`Phase`] wall
-//! seconds and query-latency percentiles.
+//! seconds, query-latency percentiles, and per-[`Counter`] totals.
 //!
 //! Instrumentation carries the same hard contract as the warm cache and the
 //! static-analysis gate: it may change wall time, never merged records. The
-//! timers only *observe* the engine; nothing reads them back into any
-//! exploration decision, and both determinism suites pin metrics-on runs
-//! byte-identical to metrics-off runs.
+//! timers and counters only *observe* the engine; nothing reads them back
+//! into any exploration decision, and both determinism suites pin
+//! metrics-on runs byte-identical to metrics-off runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::observe::Observer;
+use binsym_smt::SatResult;
+
 use crate::trace::TraceSink;
 
 /// Number of [`Phase`] variants (length of [`Phase::ALL`]).
@@ -84,6 +85,101 @@ impl Phase {
             Phase::WarmPromote => "warm_promote",
             Phase::WarmSolve => "warm_solve",
             Phase::Merge => "merge",
+        }
+    }
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Number of [`Counter`] variants (length of [`Counter::ALL`]).
+pub const NUM_COUNTERS: usize = 15;
+
+/// An event counter of the engine's work loop.
+///
+/// On a complete (untruncated) run every counter except the `Warm*` ones
+/// is exact: a pure function of the program and the configuration, equal
+/// across worker counts, schedules, and repeated runs. The `Warm*`
+/// counters are exact at one worker; at two or more they depend on which
+/// worker's cache the work-stealing schedule routes each prescription to.
+/// A truncated run's workers also count the racing attempts past the
+/// canonical cut, so there only the lower bounds hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[non_exhaustive]
+pub enum Counter {
+    /// Completed (executed) paths.
+    Paths,
+    /// Solver `check_sat` calls, cold and warm.
+    Queries,
+    /// Solver queries that came back UNSAT (gate eliminations are counted
+    /// separately, in [`Counter::GateEliminated`]).
+    UnsatQueries,
+    /// Flip queries screened by the static-analysis gate.
+    GateScreened,
+    /// Screened queries the gate decided without any SAT call.
+    GateEliminated,
+    /// Word-level facts the gate derived across all screened queries.
+    GateFacts,
+    /// Warm-start queries that found a cache entry for their parent input.
+    WarmHits,
+    /// Warm-start queries that had to build a fresh cache entry.
+    WarmMisses,
+    /// Warm-start queries that skipped the parent-prefix re-execution.
+    WarmReplaysSkipped,
+    /// Prefix path terms served from retained solver contexts.
+    WarmPrefixReused,
+    /// Prefix path terms bit-blasted anew by warm-start queries.
+    WarmPrefixBlasted,
+    /// Structural context keys opened (fresh context-cache entries).
+    WarmContextKeys,
+    /// Warm-start queries served by a structural context entry last used
+    /// by a different parent input (cross-parent sharing).
+    WarmCrossParentReuse,
+    /// Checkpoint files written.
+    CheckpointsWritten,
+    /// Sessions seeded from a resume checkpoint.
+    Resumes,
+}
+
+impl Counter {
+    /// All counters, in reporting order.
+    pub const ALL: [Counter; NUM_COUNTERS] = [
+        Counter::Paths,
+        Counter::Queries,
+        Counter::UnsatQueries,
+        Counter::GateScreened,
+        Counter::GateEliminated,
+        Counter::GateFacts,
+        Counter::WarmHits,
+        Counter::WarmMisses,
+        Counter::WarmReplaysSkipped,
+        Counter::WarmPrefixReused,
+        Counter::WarmPrefixBlasted,
+        Counter::WarmContextKeys,
+        Counter::WarmCrossParentReuse,
+        Counter::CheckpointsWritten,
+        Counter::Resumes,
+    ];
+
+    /// Stable `snake_case` name, used for JSON keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::Paths => "paths",
+            Counter::Queries => "queries",
+            Counter::UnsatQueries => "unsat_queries",
+            Counter::GateScreened => "gate_screened",
+            Counter::GateEliminated => "gate_eliminated",
+            Counter::GateFacts => "gate_facts",
+            Counter::WarmHits => "warm_hits",
+            Counter::WarmMisses => "warm_misses",
+            Counter::WarmReplaysSkipped => "warm_replays_skipped",
+            Counter::WarmPrefixReused => "warm_prefix_reused",
+            Counter::WarmPrefixBlasted => "warm_prefix_blasted",
+            Counter::WarmContextKeys => "warm_context_keys",
+            Counter::WarmCrossParentReuse => "warm_cross_parent_reuse",
+            Counter::CheckpointsWritten => "checkpoints_written",
+            Counter::Resumes => "resumes",
         }
     }
 
@@ -194,14 +290,13 @@ impl HistogramSnapshot {
 }
 
 /// One worker's private metrics shard: phase timers, a query-latency
-/// histogram, and throughput counters for the progress reporter.
+/// histogram, and the event [`Counter`]s.
 #[derive(Debug)]
 pub struct WorkerMetrics {
     phase_nanos: [AtomicU64; NUM_PHASES],
     phase_counts: [AtomicU64; NUM_PHASES],
     query_latency: Histogram,
-    paths: AtomicU64,
-    queries: AtomicU64,
+    counters: [AtomicU64; NUM_COUNTERS],
 }
 
 impl WorkerMetrics {
@@ -210,8 +305,7 @@ impl WorkerMetrics {
             phase_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_counts: std::array::from_fn(|_| AtomicU64::new(0)),
             query_latency: Histogram::new(),
-            paths: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -221,15 +315,16 @@ impl WorkerMetrics {
         self.phase_counts[phase.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one solver query and its end-to-end latency.
+    /// Record one solver query ([`Counter::Queries`]) and its end-to-end
+    /// latency.
     pub fn record_query(&self, nanos: u64) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::Queries, 1);
         self.query_latency.record(nanos);
     }
 
-    /// Count one completed path.
-    pub fn note_path(&self) {
-        self.paths.fetch_add(1, Ordering::Relaxed);
+    /// Add `n` to `counter`.
+    pub fn count(&self, counter: Counter, n: u64) {
+        self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -249,7 +344,8 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// A registry with `workers + 1` shards: one per worker thread plus one
     /// for the coordinating thread (sequential sessions use shard 0; the
-    /// parallel merge phase lands on shard `workers`).
+    /// parallel coordinator — resume seeding, drain checkpoint, merge —
+    /// lands on shard `workers`).
     pub fn new(workers: usize) -> Self {
         MetricsRegistry {
             shards: (0..workers + 1).map(|_| WorkerMetrics::new()).collect(),
@@ -262,19 +358,11 @@ impl MetricsRegistry {
         &self.shards[track % self.shards.len()]
     }
 
-    /// Racy sum of completed paths across all shards.
-    pub fn total_paths(&self) -> u64 {
+    /// Racy sum of `counter` across all shards.
+    pub fn total(&self, counter: Counter) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.paths.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Racy sum of solver queries across all shards.
-    pub fn total_queries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.queries.load(Ordering::Relaxed))
+            .map(|s| s.counters[counter.index()].load(Ordering::Relaxed))
             .sum()
     }
 
@@ -287,8 +375,9 @@ impl MetricsRegistry {
                 report.phase_counts[i] += shard.phase_counts[i].load(Ordering::Relaxed);
             }
             report.query_latency.merge(&shard.query_latency.snapshot());
-            report.paths += shard.paths.load(Ordering::Relaxed);
-            report.queries += shard.queries.load(Ordering::Relaxed);
+            for i in 0..NUM_COUNTERS {
+                report.counters[i] += shard.counters[i].load(Ordering::Relaxed);
+            }
         }
         report
     }
@@ -297,18 +386,15 @@ impl MetricsRegistry {
 /// Merged, plain-data view of a [`MetricsRegistry`] after a run.
 ///
 /// Reports from repeated rounds can be [`merge`](MetricsReport::merge)d:
-/// phase seconds and counts add (divide by the round count for an average),
-/// while percentiles are computed over the union histogram — counts are
-/// never divided, the same discipline the bench applies to event counters.
+/// phase seconds, phase counts, and counters add (divide by the round count
+/// for a per-round mean), while percentiles are computed over the union
+/// histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     phase_nanos: [u64; NUM_PHASES],
     phase_counts: [u64; NUM_PHASES],
     query_latency: HistogramSnapshot,
-    /// Completed paths across all shards.
-    pub paths: u64,
-    /// Solver queries (cold and warm `check_sat` calls) across all shards.
-    pub queries: u64,
+    counters: [u64; NUM_COUNTERS],
 }
 
 impl MetricsReport {
@@ -318,8 +404,7 @@ impl MetricsReport {
             phase_nanos: [0; NUM_PHASES],
             phase_counts: [0; NUM_PHASES],
             query_latency: HistogramSnapshot::empty(),
-            paths: 0,
-            queries: 0,
+            counters: [0; NUM_COUNTERS],
         }
     }
 
@@ -339,9 +424,26 @@ impl MetricsReport {
         &self.query_latency
     }
 
+    /// The total of `counter` across all shards.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter.index()]
+    }
+
     /// The private pieces the wire codec serializes.
-    pub(crate) fn wire_parts(&self) -> ([u64; NUM_PHASES], [u64; NUM_PHASES], &HistogramSnapshot) {
-        (self.phase_nanos, self.phase_counts, &self.query_latency)
+    pub(crate) fn wire_parts(
+        &self,
+    ) -> (
+        [u64; NUM_PHASES],
+        [u64; NUM_PHASES],
+        &HistogramSnapshot,
+        [u64; NUM_COUNTERS],
+    ) {
+        (
+            self.phase_nanos,
+            self.phase_counts,
+            &self.query_latency,
+            self.counters,
+        )
     }
 
     /// Rebuilds a report from decoded wire pieces.
@@ -349,15 +451,13 @@ impl MetricsReport {
         phase_nanos: [u64; NUM_PHASES],
         phase_counts: [u64; NUM_PHASES],
         query_latency: HistogramSnapshot,
-        paths: u64,
-        queries: u64,
+        counters: [u64; NUM_COUNTERS],
     ) -> Self {
         MetricsReport {
             phase_nanos,
             phase_counts,
             query_latency,
-            paths,
-            queries,
+            counters,
         }
     }
 
@@ -368,8 +468,9 @@ impl MetricsReport {
             self.phase_counts[i] += other.phase_counts[i];
         }
         self.query_latency.merge(&other.query_latency);
-        self.paths += other.paths;
-        self.queries += other.queries;
+        for i in 0..NUM_COUNTERS {
+            self.counters[i] += other.counters[i];
+        }
     }
 }
 
@@ -447,14 +548,9 @@ impl Instruments {
     }
 
     /// Close a phase span opened by [`begin`](Instruments::begin): stamps the
-    /// shard, ends the trace span, and fires [`Observer::on_phase`]. Returns
-    /// the elapsed nanoseconds (0 when the span was disabled).
-    pub(crate) fn finish(
-        &self,
-        started: Option<Instant>,
-        phase: Phase,
-        observer: &mut dyn Observer,
-    ) -> u64 {
+    /// shard and ends the trace span. Returns the elapsed nanoseconds (0
+    /// when the span was disabled).
+    pub(crate) fn finish(&self, started: Option<Instant>, phase: Phase) -> u64 {
         let Some(started) = started else { return 0 };
         let nanos = started.elapsed().as_nanos() as u64;
         if let Some(sink) = &self.sink {
@@ -465,21 +561,25 @@ impl Instruments {
                 .shard(self.track as usize)
                 .record_phase(phase, nanos);
         }
-        observer.on_phase(phase, nanos);
         nanos
     }
 
-    /// Record one solver query's latency (no-op without a registry).
-    pub(crate) fn record_query(&self, nanos: u64) {
+    /// Record one solver query, its latency, and its verdict (no-op
+    /// without a registry).
+    pub(crate) fn record_query(&self, nanos: u64, result: SatResult) {
         if let Some(registry) = &self.registry {
-            registry.shard(self.track as usize).record_query(nanos);
+            let shard = registry.shard(self.track as usize);
+            shard.record_query(nanos);
+            if result == SatResult::Unsat {
+                shard.count(Counter::UnsatQueries, 1);
+            }
         }
     }
 
-    /// Count one completed path (no-op without a registry).
-    pub(crate) fn note_path(&self) {
+    /// Add `n` to `counter` (no-op without a registry).
+    pub(crate) fn count(&self, counter: Counter, n: u64) {
         if let Some(registry) = &self.registry {
-            registry.shard(self.track as usize).note_path();
+            registry.shard(self.track as usize).count(counter, n);
         }
     }
 
@@ -559,7 +659,8 @@ mod tests {
                     shard.record_phase(Phase::Solve, 500);
                     shard.record_phase(Phase::Execute, (worker as u64 + 1) * 100);
                     shard.record_query(2_000);
-                    shard.note_path();
+                    shard.count(Counter::Paths, 1);
+                    shard.count(Counter::WarmPrefixReused, worker as u64);
                 });
             }
         });
@@ -570,8 +671,10 @@ mod tests {
         assert!((report.phase_seconds(Phase::Solve) - 2_000e-9).abs() < 1e-12);
         assert!((report.phase_seconds(Phase::Execute) - 1_000e-9).abs() < 1e-12);
         assert_eq!(report.phase_count(Phase::Merge), 1);
-        assert_eq!(report.paths, 4);
-        assert_eq!(report.queries, 4);
+        assert_eq!(report.counter(Counter::Paths), 4);
+        assert_eq!(report.counter(Counter::Queries), 4);
+        assert_eq!(report.counter(Counter::WarmPrefixReused), 6);
+        assert_eq!(report.counter(Counter::Resumes), 0);
         assert_eq!(report.query_latency().total(), 4);
         assert_eq!(report.phase_seconds(Phase::WarmSolve), 0.0);
     }
@@ -581,13 +684,15 @@ mod tests {
         let registry = MetricsRegistry::new(1);
         registry.shard(0).record_phase(Phase::Solve, 1_000);
         registry.shard(0).record_query(1_000);
+        registry.shard(0).count(Counter::GateEliminated, 7);
         let round = registry.report();
         let mut sum = MetricsReport::empty();
         sum.merge(&round);
         sum.merge(&round);
         assert_eq!(sum.phase_count(Phase::Solve), 2);
         assert!((sum.phase_seconds(Phase::Solve) - 2e-6).abs() < 1e-12);
-        assert_eq!(sum.queries, 2);
+        assert_eq!(sum.counter(Counter::Queries), 2);
+        assert_eq!(sum.counter(Counter::GateEliminated), 14);
         assert_eq!(sum.query_latency().total(), 2);
     }
 
@@ -597,10 +702,9 @@ mod tests {
         assert!(!instr.active());
         let started = instr.begin(Phase::Solve);
         assert!(started.is_none());
-        let mut obs = crate::observe::CountingObserver::new();
-        assert_eq!(instr.finish(started, Phase::Solve, &mut obs), 0);
-        instr.record_query(10);
-        instr.note_path();
+        assert_eq!(instr.finish(started, Phase::Solve), 0);
+        instr.record_query(10, SatResult::Unsat);
+        instr.count(Counter::Paths, 1);
     }
 
     #[test]
@@ -608,16 +712,21 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new(2));
         let instr = Instruments::new(Some(Arc::clone(&registry)), None, 0);
         let worker = instr.for_track(1);
-        let mut obs = crate::observe::NullObserver;
         let t = worker.begin(Phase::Execute);
         assert!(t.is_some());
-        let nanos = worker.finish(t, Phase::Execute, &mut obs);
+        let nanos = worker.finish(t, Phase::Execute);
         assert!(nanos > 0);
-        worker.record_query(42);
-        worker.note_path();
+        worker.record_query(42, SatResult::Unsat);
+        worker.record_query(42, SatResult::Sat);
+        worker.count(Counter::Paths, 1);
         let report = registry.report();
         assert_eq!(report.phase_count(Phase::Execute), 1);
-        assert_eq!(registry.total_paths(), 1);
-        assert_eq!(registry.total_queries(), 1);
+        assert_eq!(registry.total(Counter::Paths), 1);
+        assert_eq!(registry.total(Counter::Queries), 2);
+        assert_eq!(registry.total(Counter::UnsatQueries), 1);
+        assert_eq!(
+            registry.shard(1).counters[Counter::Paths.index()].load(Ordering::Relaxed),
+            1
+        );
     }
 }

@@ -13,74 +13,17 @@ use std::sync::{Arc, Mutex};
 
 use binsym_smt::{SatResult, Term};
 
-use crate::metrics::Phase;
 use crate::session::PathOutcome;
-
-/// Per-query accounting of the deterministic warm-start cache
-/// ([`crate::SessionBuilder::warm_start`]), reported by parallel workers
-/// through [`Observer::on_warm_query`] right after [`Observer::on_query`].
-///
-/// The cache affects wall time only, never results, so these counters are
-/// the *only* observable difference between a warm and a cold run — use
-/// them to quantify how much replayed-prefix work the cache clawed back
-/// (the engines bench and ablation 3 aggregate them via
-/// [`crate::CountingObserver`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarmQueryStats {
-    /// The query result (same value the paired `on_query` received).
-    pub result: SatResult,
-    /// A cache entry for the parent input was resident (its trail — and,
-    /// for a promoted parent, its retained solver context — was reused).
-    /// Promotion is lazy, so a hit does *not* imply a retained context:
-    /// [`WarmQueryStats::prefix_reused`] is the context-reuse signal.
-    pub cache_hit: bool,
-    /// The parent-prefix re-execution was skipped entirely (the trail was
-    /// served from the cache).
-    pub replay_skipped: bool,
-    /// Prefix path terms served from the retained solver context
-    /// (bit-blast reused).
-    pub prefix_reused: u64,
-    /// Prefix path terms bit-blasted anew for this query.
-    pub prefix_blasted: u64,
-    /// No structurally matching context key was resident, so the query
-    /// opened a fresh structural-context entry.
-    pub context_key_created: bool,
-    /// The structural context entry serving this query was last used by a
-    /// *different* parent input — the cross-parent sharing the structural
-    /// keying exists for.
-    pub cross_parent_reuse: bool,
-}
-
-/// Per-query accounting of the word-level static-analysis gate
-/// ([`crate::SessionBuilder::static_analysis`]), reported through
-/// [`Observer::on_static_analysis`] for **every** screened flip query —
-/// eliminated or residual.
-///
-/// Like the warm cache, the gate affects wall time only, never merged
-/// results: an eliminated query fires *neither* [`Observer::on_query`]
-/// nor [`Observer::on_warm_query`] and does not count as a solver check,
-/// so analysis-on and analysis-off runs stay byte-identical in their
-/// records and differ only in these counters (and in `solver_checks`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticAnalysisStats {
-    /// `Some(verdict)` when the analysis decided the query without any
-    /// SAT call; `None` for residual queries that went to the solver.
-    pub eliminated: Option<SatResult>,
-    /// Path-condition conjuncts assumed by the analysis.
-    pub conjuncts: u64,
-    /// Word-level facts derived (boolean truth values, interval
-    /// refinements, and order-closure edges).
-    pub facts: u64,
-}
 
 /// A checkpoint lifecycle event, reported through
 /// [`Observer::on_checkpoint`] by sessions with
 /// [`crate::SessionBuilder::checkpoint`] or
 /// [`crate::SessionBuilder::resume`] configured.
 ///
-/// Checkpointing affects wall time only, never merged results, so — like
-/// [`WarmQueryStats`] — these events are the only observable difference
-/// between a checkpointed and a plain run.
+/// Checkpointing affects wall time only, never merged results. The
+/// [`crate::Counter::CheckpointsWritten`] and [`crate::Counter::Resumes`]
+/// metrics count these events; the hook exists for observers that must act
+/// at the moment a checkpoint lands (e.g. snapshotting the file).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointEvent {
     /// A checkpoint file was atomically written; `paths` is the number of
@@ -101,6 +44,8 @@ pub enum CheckpointEvent {
 ///
 /// `on_step`/`on_branch` fire inside [`crate::PathExecutor::execute_path`];
 /// `on_path`/`on_query` fire in the [`crate::Session`] exploration loop.
+/// Engine-internal events (gate screenings, warm-cache reuse, phase
+/// timings) are counted by [`crate::MetricsRegistry`] instead.
 pub trait Observer {
     /// An instruction is about to execute at `pc`; `steps` instructions
     /// have completed on the current path so far.
@@ -119,35 +64,10 @@ pub trait Observer {
         let _ = (input, outcome);
     }
 
-    /// A branch-flip feasibility query was discharged.
+    /// A branch-flip feasibility query was discharged by the solver. A
+    /// query the static-analysis gate decides fires no `on_query`.
     fn on_query(&mut self, result: SatResult) {
         let _ = result;
-    }
-
-    /// The query just reported through [`Observer::on_query`] went through
-    /// the warm-start cache; `stats` carries its hit/miss and prefix-reuse
-    /// accounting. Fires only in parallel sessions with
-    /// [`crate::SessionBuilder::warm_start`] enabled.
-    fn on_warm_query(&mut self, stats: &WarmQueryStats) {
-        let _ = stats;
-    }
-
-    /// The static-analysis gate screened a flip query; `stats` says
-    /// whether it was eliminated (no SAT call — in that case no
-    /// [`Observer::on_query`] fires for it) or residual. Fires only with
-    /// [`crate::SessionBuilder::static_analysis`] enabled (the default).
-    fn on_static_analysis(&mut self, stats: &StaticAnalysisStats) {
-        let _ = stats;
-    }
-
-    /// A timed engine [`Phase`] completed, taking `nanos` wall nanoseconds.
-    ///
-    /// Fires only when instrumentation is active — a metrics registry
-    /// ([`crate::SessionBuilder::metrics`]) or a trace sink
-    /// ([`crate::SessionBuilder::trace`]) is installed — because the engine
-    /// measures no clocks otherwise, keeping the disabled path free.
-    fn on_phase(&mut self, phase: Phase, nanos: u64) {
-        let _ = (phase, nanos);
     }
 
     /// A checkpoint was written, or the session resumed from one. Workers
@@ -220,9 +140,6 @@ forward_observer_hooks! {
     fn on_branch(&mut self, pc: u32, cond: Term, taken: bool);
     fn on_path(&mut self, input: &[u8], outcome: &PathOutcome);
     fn on_query(&mut self, result: SatResult);
-    fn on_warm_query(&mut self, stats: &WarmQueryStats);
-    fn on_static_analysis(&mut self, stats: &StaticAnalysisStats);
-    fn on_phase(&mut self, phase: Phase, nanos: u64);
     fn on_checkpoint(&mut self, event: CheckpointEvent);
 }
 
@@ -232,8 +149,9 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
-/// An observer counting events — useful for tests, progress displays, and
-/// cheap coverage proxies.
+/// An observer counting its hook events — useful for tests, progress
+/// displays, and cheap coverage proxies. Engine counters live in
+/// [`crate::MetricsRegistry`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingObserver {
     /// Instructions executed across all paths.
@@ -242,37 +160,10 @@ pub struct CountingObserver {
     pub branches: u64,
     /// Paths completed.
     pub paths: u64,
-    /// Feasibility queries discharged (both SAT and UNSAT).
+    /// Solver queries discharged (both SAT and UNSAT).
     pub queries: u64,
     /// Queries that came back satisfiable.
     pub sat_queries: u64,
-    /// Warm-start queries that found a cache entry for their parent
-    /// input (see [`WarmQueryStats::cache_hit`]).
-    pub warm_hits: u64,
-    /// Warm-start queries that had to build a fresh cache entry.
-    pub warm_misses: u64,
-    /// Warm-start queries that skipped the parent-prefix re-execution.
-    pub warm_replays_skipped: u64,
-    /// Prefix path terms served from retained solver contexts.
-    pub warm_prefix_reused: u64,
-    /// Prefix path terms bit-blasted anew by warm-start queries.
-    pub warm_prefix_blasted: u64,
-    /// Structural context keys opened (fresh context-cache entries).
-    pub warm_context_keys: u64,
-    /// Warm-start queries served by a structural context entry last used
-    /// by a different parent input (cross-parent sharing).
-    pub warm_cross_parent_reuse: u64,
-    /// Flip queries screened by the static-analysis gate.
-    pub sa_queries: u64,
-    /// Screened queries eliminated without any SAT call.
-    pub sa_queries_eliminated: u64,
-    /// Word-level facts derived across all screened queries.
-    pub sa_facts: u64,
-    /// Checkpoint files written ([`CheckpointEvent::Written`]).
-    pub checkpoints_written: u64,
-    /// Resume seedings observed ([`CheckpointEvent::Resumed`]; 0 or 1 per
-    /// session).
-    pub resumed_from: u64,
 }
 
 impl CountingObserver {
@@ -299,40 +190,6 @@ impl Observer for CountingObserver {
         self.queries += 1;
         if result == SatResult::Sat {
             self.sat_queries += 1;
-        }
-    }
-
-    fn on_warm_query(&mut self, stats: &WarmQueryStats) {
-        if stats.cache_hit {
-            self.warm_hits += 1;
-        } else {
-            self.warm_misses += 1;
-        }
-        if stats.replay_skipped {
-            self.warm_replays_skipped += 1;
-        }
-        self.warm_prefix_reused += stats.prefix_reused;
-        self.warm_prefix_blasted += stats.prefix_blasted;
-        if stats.context_key_created {
-            self.warm_context_keys += 1;
-        }
-        if stats.cross_parent_reuse {
-            self.warm_cross_parent_reuse += 1;
-        }
-    }
-
-    fn on_static_analysis(&mut self, stats: &StaticAnalysisStats) {
-        self.sa_queries += 1;
-        if stats.eliminated.is_some() {
-            self.sa_queries_eliminated += 1;
-        }
-        self.sa_facts += stats.facts;
-    }
-
-    fn on_checkpoint(&mut self, event: CheckpointEvent) {
-        match event {
-            CheckpointEvent::Written { .. } => self.checkpoints_written += 1,
-            CheckpointEvent::Resumed { .. } => self.resumed_from += 1,
         }
     }
 }

@@ -82,7 +82,7 @@ use crate::backend::{SolverBackend, StaticGate};
 use crate::error::Error;
 use crate::machine::{StepResult, TrailEntry};
 use crate::memory::AddressPolicyKind;
-use crate::metrics::{InstrumentationConfig, Instruments, Phase};
+use crate::metrics::{Counter, InstrumentationConfig, Instruments, Phase};
 use crate::observe::{CheckpointEvent, NullObserver, Observer};
 use crate::persist::{decode_seq, encode_seq, section, Dec, Document, Enc, PersistError, Wire};
 use crate::prescribe::{Flip, PathId, PathRecord, Prescription};
@@ -818,6 +818,17 @@ impl ParallelSession {
             Box::new(NullObserver)
         };
 
+        // One `Instruments` handle per worker, all sharing the registry and
+        // sink but each stamping its own track (worker index); track
+        // `self.workers` is reserved for the coordinator (resume seeding,
+        // drain checkpoint, merge).
+        let base_instr = Instruments::new(
+            self.instrumentation.metrics.clone(),
+            self.instrumentation.trace.clone(),
+            0,
+        );
+        let coord_instr = base_instr.for_track(self.workers as u32);
+
         // Resume: seed the run from the checkpoint instead of `seed`.
         let mut restored: Vec<PrescriptionRecord> = Vec::new();
         if let Some(resume_path) = self.persist.resume.clone() {
@@ -849,6 +860,7 @@ impl ParallelSession {
                 distribute(&state.frontier, bag);
             }
             restored = loaded.records;
+            coord_instr.count(Counter::Resumes, 1);
             coord_observer.on_checkpoint(CheckpointEvent::Resumed {
                 records: restored.len() as u64,
             });
@@ -876,14 +888,6 @@ impl ParallelSession {
             });
         }
 
-        // One `Instruments` handle per worker, all sharing the registry and
-        // sink but each stamping its own track (worker index); track
-        // `self.workers` is reserved for the coordinator's merge phase.
-        let base_instr = Instruments::new(
-            self.instrumentation.metrics.clone(),
-            self.instrumentation.trace.clone(),
-            0,
-        );
         let mut outputs: Vec<Vec<PrescriptionRecord>> = Vec::with_capacity(self.workers);
         let progress_stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -961,7 +965,10 @@ impl ParallelSession {
             let wrote = write_checkpoint(ck, &ledger, &state);
             drop(ledger);
             match wrote {
-                Ok(paths) => coord_observer.on_checkpoint(CheckpointEvent::Written { paths }),
+                Ok(paths) => {
+                    coord_instr.count(Counter::CheckpointsWritten, 1);
+                    coord_observer.on_checkpoint(CheckpointEvent::Written { paths });
+                }
                 Err(e) => return Err(Error::Persist(e)),
             }
         }
@@ -969,8 +976,7 @@ impl ParallelSession {
         // Deterministic merge: canonical (sequential depth-first) order.
         // Timed on the coordinator track (`self.workers`) so the trace
         // shows the sequential tail after the worker tracks go quiet.
-        let merge_instr = base_instr.for_track(self.workers as u32);
-        let merge_started = merge_instr.begin(Phase::Merge);
+        let merge_started = coord_instr.begin(Phase::Merge);
         let mut all: Vec<PrescriptionRecord> = outputs.into_iter().flatten().collect();
         if let Some(ck) = state.checkpoint.take() {
             all.extend(ck.ledger.into_inner().expect("ledger lock").records);
@@ -1018,7 +1024,7 @@ impl ParallelSession {
                 if surfaces {
                     // Close the merge span before bailing so traced runs
                     // keep every `B` event balanced even on error.
-                    merge_instr.finish(merge_started, Phase::Merge, &mut NullObserver);
+                    coord_instr.finish(merge_started, Phase::Merge);
                     return Err(e);
                 }
             }
@@ -1056,7 +1062,7 @@ impl ParallelSession {
         }
         self.summary = summary;
         self.records = records;
-        merge_instr.finish(merge_started, Phase::Merge, &mut NullObserver);
+        coord_instr.finish(merge_started, Phase::Merge);
         Ok(self.summary())
     }
 }
@@ -1217,6 +1223,7 @@ fn worker_main(
                             // Fired outside the lock: a sibling may replace
                             // the file mid-event, which is fine — every
                             // written checkpoint is a consistent cut.
+                            instr.count(Counter::CheckpointsWritten, 1);
                             observer.on_checkpoint(CheckpointEvent::Written { paths });
                         }
                         if let Some(e) = write_err {
@@ -1268,7 +1275,7 @@ fn replay(
         Some(flip) => {
             let replay_started = instr.begin(Phase::Replay);
             let trail = executor.execute_prefix(tm, &p.input, fuel, flip.ord + 1);
-            instr.finish(replay_started, Phase::Replay, observer);
+            instr.finish(replay_started, Phase::Replay);
             let trail = trail?;
             let (i, cond) = flip.locate(&trail)?;
             // Terms are interned in the same order whether or not the gate
@@ -1276,11 +1283,7 @@ fn replay(
             // identical term handles (and hence identical CNF and models).
             let prefix: Vec<_> = trail[..i].iter().map(|e| e.path_term(tm)).collect();
             let flipped = if flip.taken { tm.not(cond) } else { cond };
-            let gate_started = instr.begin(Phase::Gate);
-            let screened = gate.screen(tm, &prefix, flipped, &p.input);
-            instr.finish(gate_started, Phase::Gate, observer);
-            if let Some(report) = screened {
-                observer.on_static_analysis(&report.stats);
+            if let Some(report) = gate.screen_instrumented(instr, tm, &prefix, flipped, &p.input) {
                 match report.verdict {
                     // Eliminated: no solver check, no `on_query`, and a
                     // `query: None` record so the merge counts nothing.
@@ -1298,13 +1301,11 @@ fn replay(
                 backend.assert_term(tm, t);
             }
             backend.assert_term(tm, flipped);
-            instr.finish(blast_started, Phase::BitBlast, observer);
+            instr.finish(blast_started, Phase::BitBlast);
             let solve_started = instr.begin(Phase::Solve);
             let r = backend.check_sat(tm);
-            let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
-            if solve_started.is_some() {
-                instr.record_query(solve_nanos);
-            }
+            let solve_nanos = instr.finish(solve_started, Phase::Solve);
+            instr.record_query(solve_nanos, r);
             observer.on_query(r);
             if r != SatResult::Sat {
                 backend.pop();
@@ -1324,8 +1325,8 @@ fn replay(
 /// the worker's [`WarmCache`] (parent-input-keyed trail + blasted-prefix
 /// contexts) instead of a fresh backend. The cache guarantees answers
 /// bit-identical to [`replay`]'s (see [`crate::warm`]), so the two paths
-/// are interchangeable result-wise; only wall time and the
-/// [`Observer::on_warm_query`] accounting differ.
+/// are interchangeable result-wise; only wall time and the `Warm*`
+/// [`Counter`]s differ.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn replay_warm(
     executor: &mut dyn PathExecutor,
@@ -1341,20 +1342,15 @@ fn replay_warm(
     let (query, input) = match p.flip {
         None => (None, p.input.clone()),
         Some(flip) => {
-            let (r, bytes, warm_stats, sa_stats) =
-                cache.solve_flip(executor, &p.input, flip, fuel, gate, instr, observer)?;
-            if let Some(sa) = &sa_stats {
-                observer.on_static_analysis(sa);
-            }
-            // An eliminated query carries no warm stats: it fires neither
-            // `on_query` nor `on_warm_query` and records `query: None`, so
-            // the merge's solver-check count matches an analysis-off run
-            // minus exactly the eliminated queries.
-            if let Some(warm) = &warm_stats {
+            let (r, bytes, solved) =
+                cache.solve_flip(executor, &p.input, flip, fuel, gate, instr)?;
+            // An eliminated query fires no `on_query` and records
+            // `query: None`, so the merge's solver-check count matches an
+            // analysis-off run minus exactly the eliminated queries.
+            if solved {
                 observer.on_query(r);
-                observer.on_warm_query(warm);
             }
-            let query = warm_stats.is_some().then_some(r);
+            let query = solved.then_some(r);
             match bytes {
                 None => return Ok((query, None)),
                 Some(bytes) => (query, bytes),
@@ -1399,9 +1395,9 @@ fn materialize(
 ) -> Result<(Option<SatResult>, Option<(PathRecord, Vec<Prescription>)>), Error> {
     let execute_started = instr.begin(Phase::Execute);
     let outcome = executor.execute_path(tm, &input, fuel, observer);
-    instr.finish(execute_started, Phase::Execute, observer);
+    instr.finish(execute_started, Phase::Execute);
     let outcome = outcome?;
-    instr.note_path();
+    instr.count(Counter::Paths, 1);
     observer.on_path(&input, &outcome);
 
     let forced = p.flip.map_or(0, |f| f.ord + 1);
@@ -1812,55 +1808,32 @@ ok:
     }
 
     #[test]
-    fn warm_start_reports_cache_stats_through_observers() {
-        use std::sync::atomic::AtomicU64;
-        #[derive(Debug)]
-        struct WarmTally {
-            queries: Arc<AtomicU64>,
-            warm: Arc<AtomicU64>,
-            hits: Arc<AtomicU64>,
-        }
-        impl Observer for WarmTally {
-            fn on_query(&mut self, _r: SatResult) {
-                self.queries.fetch_add(1, Ordering::SeqCst);
-            }
-            fn on_warm_query(&mut self, stats: &crate::observe::WarmQueryStats) {
-                self.warm.fetch_add(1, Ordering::SeqCst);
-                if stats.cache_hit {
-                    self.hits.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        let queries = Arc::new(AtomicU64::new(0));
-        let warm = Arc::new(AtomicU64::new(0));
-        let hits = Arc::new(AtomicU64::new(0));
-        let (q, w, h) = (Arc::clone(&queries), Arc::clone(&warm), Arc::clone(&hits));
+    fn warm_start_reports_cache_stats_through_the_registry() {
+        let registry = Arc::new(crate::metrics::MetricsRegistry::new(1));
+        let counts = Arc::new(Mutex::new(CountingObserver::new()));
+        let handle = Arc::clone(&counts);
         let mut par = Session::builder(Spec::rv32im())
             .binary(&elf(THREE_COMPARES))
             .workers(1)
             .warm_start(true)
-            .observer_factory(move |_| {
-                Box::new(WarmTally {
-                    queries: Arc::clone(&q),
-                    warm: Arc::clone(&w),
-                    hits: Arc::clone(&h),
-                })
-            })
+            .metrics(Arc::clone(&registry))
+            .observer_factory(move |_| Box::new(Arc::clone(&handle)))
             .build_parallel()
             .unwrap();
         let s = par.run_all().unwrap();
+        let report = registry.report();
         assert_eq!(
-            queries.load(Ordering::SeqCst),
+            counts.lock().unwrap().queries,
             s.solver_checks,
             "every query observed"
         );
         assert_eq!(
-            warm.load(Ordering::SeqCst),
+            report.counter(Counter::WarmHits) + report.counter(Counter::WarmMisses),
             s.solver_checks,
-            "every query carries warm stats"
+            "every query counts warm stats"
         );
         assert!(
-            hits.load(Ordering::SeqCst) > 0,
+            report.counter(Counter::WarmHits) > 0,
             "sibling flips hit the cache"
         );
     }
@@ -2245,38 +2218,42 @@ ok:
     }
 
     #[test]
-    fn checkpoint_events_reach_counting_observers() {
+    fn checkpoint_writes_and_resumes_reach_the_registry() {
         let path = ck_path("counters");
-        let counters = Arc::new(Mutex::new(CountingObserver::new()));
-        let handle = Arc::clone(&counters);
+        let registry = Arc::new(crate::metrics::MetricsRegistry::new(2));
         let mut par = Session::builder(Spec::rv32im())
             .binary(&elf(THREE_COMPARES))
             .workers(2)
             .checkpoint(&path, 1)
-            .observer_factory(move |_| Box::new(Arc::clone(&handle)))
+            .metrics(Arc::clone(&registry))
             .build_parallel()
             .unwrap();
         let s = par.run_all().unwrap();
-        {
-            let c = counters.lock().unwrap();
-            // One write per committed path plus the coordinator's drain.
-            assert_eq!(c.checkpoints_written, s.paths + 1);
-            assert_eq!(c.resumed_from, 0);
-        }
-        let counters = Arc::new(Mutex::new(CountingObserver::new()));
-        let handle = Arc::clone(&counters);
+        let report = registry.report();
+        // One write per committed path plus the coordinator's drain.
+        assert_eq!(report.counter(Counter::CheckpointsWritten), s.paths + 1);
+        assert_eq!(report.counter(Counter::Resumes), 0);
+        let registry = Arc::new(crate::metrics::MetricsRegistry::new(2));
         let mut resumed = Session::builder(Spec::rv32im())
             .binary(&elf(THREE_COMPARES))
             .workers(2)
             .resume(&path)
-            .observer_factory(move |_| Box::new(Arc::clone(&handle)))
+            .metrics(Arc::clone(&registry))
             .build_parallel()
             .unwrap();
         resumed.run_all().unwrap();
         let _ = std::fs::remove_file(&path);
-        let c = counters.lock().unwrap();
-        assert_eq!(c.resumed_from, 1, "coordinator reports the resume seed");
-        assert_eq!(c.checkpoints_written, 0, "resume alone writes nothing");
+        let report = registry.report();
+        assert_eq!(
+            report.counter(Counter::Resumes),
+            1,
+            "coordinator counts the resume seed"
+        );
+        assert_eq!(
+            report.counter(Counter::CheckpointsWritten),
+            0,
+            "resume alone writes nothing"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! [0..4)    magic  b"BSYW"
-//! [4..8)    format version, little-endian u32 (currently 2)
+//! [4..8)    format version, little-endian u32 (currently 3)
 //! [8..12)   section count, little-endian u32
 //! [12..)    per section: tag u32 | absolute offset u64 | length u64
 //! then      the payload bytes
@@ -47,7 +47,7 @@ use binsym_smt::SatResult;
 use crate::coverage::CoverageSnapshot;
 use crate::machine::StepResult;
 use crate::memory::AddressPolicyKind;
-use crate::metrics::{HistogramSnapshot, MetricsReport, NUM_BUCKETS, NUM_PHASES};
+use crate::metrics::{HistogramSnapshot, MetricsReport, NUM_BUCKETS, NUM_COUNTERS, NUM_PHASES};
 use crate::prescribe::{Flip, PathId, PathRecord, Prescription};
 use crate::session::{ErrorPath, Summary};
 use crate::strategy::FrontierSnapshot;
@@ -63,8 +63,9 @@ pub const MAGIC: [u8; 4] = *b"BSYW";
 /// [`section::POLICY`] in checkpoints and a policy field in every encoded
 /// [`Prescription`] — so version-1 documents (and version-1 readers
 /// handed a version-2 file) fail with a clean mismatch instead of a
-/// misparse.
-pub const FORMAT_VERSION: u32 = 2;
+/// misparse. Version 3 replaced the two path/query words of a
+/// [`section::METRICS`] report with its full [`crate::Counter`] array.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Well-known section tags used by the checkpoint and shard-runner
 /// documents. A [`Document`] may carry any tags; these are the ones the
@@ -666,16 +667,14 @@ impl Wire for HistogramSnapshot {
 
 impl Wire for MetricsReport {
     fn encode(&self, enc: &mut Enc) {
-        let (nanos, counts, latency) = self.wire_parts();
-        for v in nanos {
-            enc.u64(v);
-        }
-        for v in counts {
+        let (nanos, counts, latency, counters) = self.wire_parts();
+        for v in nanos.into_iter().chain(counts) {
             enc.u64(v);
         }
         latency.encode(enc);
-        enc.u64(self.paths);
-        enc.u64(self.queries);
+        for v in counters {
+            enc.u64(v);
+        }
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         let mut nanos = [0u64; NUM_PHASES];
@@ -687,10 +686,12 @@ impl Wire for MetricsReport {
             *v = dec.u64()?;
         }
         let latency = HistogramSnapshot::decode(dec)?;
-        let paths = dec.u64()?;
-        let queries = dec.u64()?;
+        let mut counters = [0u64; NUM_COUNTERS];
+        for v in &mut counters {
+            *v = dec.u64()?;
+        }
         Ok(MetricsReport::from_wire_parts(
-            nanos, counts, latency, paths, queries,
+            nanos, counts, latency, counters,
         ))
     }
 }
@@ -1190,6 +1191,7 @@ mod tests {
 
     #[test]
     fn metrics_reports_round_trip() {
+        use crate::metrics::Counter;
         // Build a report through the public merge path so private fields
         // carry real data.
         let registry = crate::metrics::MetricsRegistry::new(2);
@@ -1197,13 +1199,27 @@ mod tests {
         shard.record_phase(crate::metrics::Phase::Execute, 1234);
         shard.record_query(5_000);
         shard.record_query(900_000);
-        shard.note_path();
-        shard.note_path();
-        shard.note_path();
+        shard.count(Counter::Paths, 3);
         let report = registry.report();
         let back: MetricsReport = decode_one(&encode_one(&report)).unwrap();
         assert_eq!(back, report);
-        assert_eq!(back.paths, 3);
+        assert_eq!(back.counter(Counter::Paths), 3);
         round_trip(&MetricsReport::empty());
+        // Every counter nonzero (and distinct), on two shards: each one
+        // survives the wire, and merging two decoded shards sums them.
+        let registry = crate::metrics::MetricsRegistry::new(1);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            registry.shard(0).count(c, i as u64 + 1);
+            registry.shard(1).count(c, 100 * (i as u64 + 1));
+        }
+        let full = registry.report();
+        let back: MetricsReport = decode_one(&encode_one(&full)).unwrap();
+        assert_eq!(back, full);
+        let mut merged = back.clone();
+        merged.merge(&back);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(back.counter(c), 101 * (i as u64 + 1), "{}", c.name());
+            assert_eq!(merged.counter(c), 2 * back.counter(c), "{}", c.name());
+        }
     }
 }

@@ -63,7 +63,7 @@ use crate::coverage::CoverageMap;
 use crate::error::Error;
 use crate::machine::{StepResult, SymMachine, TrailEntry};
 use crate::memory::AddressPolicyKind;
-use crate::metrics::{Instruments, MetricsRegistry, Phase};
+use crate::metrics::{Counter, Instruments, MetricsRegistry, Phase};
 use crate::observe::{NullObserver, Observer};
 use crate::parallel::{
     BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, PersistPlan,
@@ -540,8 +540,9 @@ impl SessionBuilder {
     /// [`crate::StaticGate`]). Like the warm-start cache, the gate affects
     /// wall time only, never results: merged records stay byte-identical
     /// to an analysis-off run — residual queries are blasted from the
-    /// original terms, and eliminated verdicts are exact. Per-query
-    /// accounting flows through [`crate::Observer::on_static_analysis`].
+    /// original terms, and eliminated verdicts are exact. The
+    /// [`crate::MetricsRegistry`] counts screened and eliminated queries
+    /// ([`crate::Counter::GateScreened`] / [`crate::Counter::GateEliminated`]).
     pub fn static_analysis(mut self, enabled: bool) -> Self {
         self.static_analysis = enabled;
         self
@@ -983,8 +984,8 @@ impl Progress {
             return;
         }
         let dt = now.duration_since(self.last).as_secs_f64();
-        let paths = registry.map_or(0, |r| r.total_paths());
-        let queries = registry.map_or(0, |r| r.total_queries());
+        let paths = registry.map_or(0, |r| r.total(Counter::Paths));
+        let queries = registry.map_or(0, |r| r.total(Counter::Queries));
         let mut line = format!(
             "[binsym] t={:.1}s paths={} ({:.1}/s) queries={} ({:.1}/s)",
             now.duration_since(self.started).as_secs_f64(),
@@ -1179,15 +1180,13 @@ impl Session {
             {
                 Ok(o) => o,
                 Err(e) => {
-                    self.instr
-                        .finish(started, Phase::Execute, &mut *self.observer);
+                    self.instr.finish(started, Phase::Execute);
                     self.done = true;
                     return Some(Err(e));
                 }
             };
-        self.instr
-            .finish(started, Phase::Execute, &mut *self.observer);
-        self.instr.note_path();
+        self.instr.finish(started, Phase::Execute);
+        self.instr.count(Counter::Paths, 1);
 
         self.summary.paths += 1;
         self.summary.total_steps += outcome.steps;
@@ -1273,14 +1272,14 @@ impl Session {
             } else {
                 cand.cond
             };
-            let gate_started = self.instr.begin(Phase::Gate);
-            let screened =
-                self.gate
-                    .screen(&mut self.tm, &query, flipped, &cand.prescription.input);
-            self.instr
-                .finish(gate_started, Phase::Gate, &mut *self.observer);
+            let screened = self.gate.screen_instrumented(
+                &self.instr,
+                &mut self.tm,
+                &query,
+                flipped,
+                &cand.prescription.input,
+            );
             if let Some(report) = screened {
-                self.observer.on_static_analysis(&report.stats);
                 if let Some((r, bytes)) = report.verdict {
                     // Eliminated: no backend call, no `on_query`.
                     match r {
@@ -1310,16 +1309,11 @@ impl Session {
                 self.backend.assert_term(&mut self.tm, t);
                 self.asserted.push(t);
             }
-            self.instr
-                .finish(blast_started, Phase::BitBlast, &mut *self.observer);
+            self.instr.finish(blast_started, Phase::BitBlast);
             let solve_started = self.instr.begin(Phase::Solve);
             let r = self.backend.check_sat(&mut self.tm);
-            let solve_nanos = self
-                .instr
-                .finish(solve_started, Phase::Solve, &mut *self.observer);
-            if solve_started.is_some() {
-                self.instr.record_query(solve_nanos);
-            }
+            let solve_nanos = self.instr.finish(solve_started, Phase::Solve);
+            self.instr.record_query(solve_nanos, r);
             self.observer.on_query(r);
             if r == SatResult::Sat {
                 let model = self.backend.model(&self.tm).expect("sat has model");
@@ -1714,8 +1708,8 @@ _start:
         assert_eq!(s.solver_checks, plain.solver_checks);
         assert_eq!(s.total_steps, plain.total_steps);
         let report = registry.report();
-        assert_eq!(report.paths, s.paths);
-        assert_eq!(report.queries, s.solver_checks);
+        assert_eq!(report.counter(Counter::Paths), s.paths);
+        assert_eq!(report.counter(Counter::Queries), s.solver_checks);
     }
 
     #[test]

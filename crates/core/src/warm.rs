@@ -59,8 +59,8 @@
 //!
 //! Everything observable beyond timing — results, models, spawned
 //! prescriptions — is therefore a pure function of the prescription, as
-//! in cache-off mode; only the hit/miss counters surfaced through
-//! [`crate::Observer::on_warm_query`] reveal the cache at all.
+//! in cache-off mode; only the `Warm*` [`crate::Counter`]s of an installed
+//! [`crate::MetricsRegistry`] reveal the cache at all.
 
 use std::collections::HashMap;
 
@@ -69,8 +69,7 @@ use binsym_smt::{PrefixContext, SatResult, Solver, Term, TermManager};
 use crate::backend::StaticGate;
 use crate::error::Error;
 use crate::machine::TrailEntry;
-use crate::metrics::{Instruments, Phase};
-use crate::observe::{Observer, StaticAnalysisStats, WarmQueryStats};
+use crate::metrics::{Counter, Instruments, Phase};
 use crate::prescribe::Flip;
 use crate::session::PathExecutor;
 
@@ -438,10 +437,10 @@ impl WarmCache {
     }
 
     /// Discharges the flip query of one prescription through the cache:
-    /// returns the query result, the witness input bytes on SAT, the
-    /// per-query cache accounting (`None` when the static gate eliminated
-    /// the query — no solver ran, so there is nothing to account), and the
-    /// gate's screening stats (`None` when the gate is disabled).
+    /// returns the query result, the witness input bytes on SAT, and
+    /// whether the solver ran (`false` when the static gate decided the
+    /// query). The cache's hit/miss and prefix-reuse accounting of a
+    /// solved query is counted into `instr`'s `Warm*` [`Counter`]s.
     ///
     /// The gate screens *before* the promotion counter ticks: an
     /// eliminated query does not advance a parent toward context
@@ -459,7 +458,6 @@ impl WarmCache {
     /// context is discarded and the query falls back to the cold solve,
     /// whose answer is bit-identical — so even that failure mode cannot
     /// change results.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     pub(crate) fn solve_flip(
         &mut self,
         executor: &mut dyn PathExecutor,
@@ -468,16 +466,7 @@ impl WarmCache {
         fuel: u64,
         gate: StaticGate,
         instr: &Instruments,
-        observer: &mut dyn Observer,
-    ) -> Result<
-        (
-            SatResult,
-            Option<Vec<u8>>,
-            Option<WarmQueryStats>,
-            Option<StaticAnalysisStats>,
-        ),
-        Error,
-    > {
+    ) -> Result<(SatResult, Option<Vec<u8>>, bool), Error> {
         self.tick += 1;
         let tick = self.tick;
         let pos = self.trails.lookup(input);
@@ -492,7 +481,7 @@ impl WarmCache {
                     // handles exactly).
                     let replay_started = instr.begin(Phase::Replay);
                     let trail = executor.execute_prefix(&mut self.tm, input, fuel, flip.ord + 1);
-                    instr.finish(replay_started, Phase::Replay, observer);
+                    instr.finish(replay_started, Phase::Replay);
                     let trail = trail?;
                     let e = self.trails.slot_mut(s);
                     e.branches = trail.iter().filter(|t| t.is_branch()).count();
@@ -504,7 +493,7 @@ impl WarmCache {
             None => {
                 let replay_started = instr.begin(Phase::Replay);
                 let trail = executor.execute_prefix(&mut self.tm, input, fuel, flip.ord + 1);
-                instr.finish(replay_started, Phase::Replay, observer);
+                instr.finish(replay_started, Phase::Replay);
                 let trail = trail?;
                 replayed = true;
                 let branches = trail.iter().filter(|t| t.is_branch()).count();
@@ -533,19 +522,12 @@ impl WarmCache {
         // concretization choices included, since a pin is part of the path
         // condition exactly like a branch direction.
         let skey: Vec<DecisionKey> = trail[..i].iter().map(DecisionKey::of).collect();
-        let mut sa_stats = None;
-        let gate_started = instr.begin(Phase::Gate);
-        let screened = gate.screen(tm, &prefix, flipped, input);
-        instr.finish(gate_started, Phase::Gate, observer);
-        if let Some(report) = screened {
-            sa_stats = Some(report.stats);
+        if let Some(report) = gate.screen_instrumented(instr, tm, &prefix, flipped, input) {
             match report.verdict {
-                Some((SatResult::Unsat, _)) => {
-                    return Ok((SatResult::Unsat, None, None, sa_stats));
-                }
+                Some((SatResult::Unsat, _)) => return Ok((SatResult::Unsat, None, false)),
                 Some((SatResult::Sat, bytes)) => {
                     let bytes = bytes.expect("sat verdict carries witness bytes");
-                    return Ok((SatResult::Sat, Some(bytes), None, sa_stats));
+                    return Ok((SatResult::Sat, Some(bytes), false));
                 }
                 None => {}
             }
@@ -571,12 +553,10 @@ impl WarmCache {
             };
             let warm_started = instr.begin(phase);
             let solved = c.solve_flip(tm, &prefix, flipped);
-            let warm_nanos = instr.finish(warm_started, phase, observer);
+            let warm_nanos = instr.finish(warm_started, phase);
             match solved {
                 Ok(report) => {
-                    if warm_started.is_some() {
-                        instr.record_query(warm_nanos);
-                    }
+                    instr.record_query(warm_nanos, report.result);
                     warm_result = Some((
                         report.result,
                         report.reused as u64,
@@ -610,33 +590,33 @@ impl WarmCache {
                     solver.assert_term(tm, t);
                 }
                 solver.assert_term(tm, flipped);
-                instr.finish(blast_started, Phase::BitBlast, observer);
+                instr.finish(blast_started, Phase::BitBlast);
                 let solve_started = instr.begin(Phase::Solve);
                 let r = solver.check_sat(tm, &[]);
-                let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
-                if solve_started.is_some() {
-                    instr.record_query(solve_nanos);
-                }
+                let solve_nanos = instr.finish(solve_started, Phase::Solve);
+                instr.record_query(solve_nanos, r);
                 (r, 0, i as u64, solver.model(tm))
             }
         };
-        let stats = WarmQueryStats {
-            result,
-            cache_hit: hit,
-            replay_skipped: !replayed,
-            prefix_reused: reused,
-            prefix_blasted: blasted,
-            context_key_created: created,
-            cross_parent_reuse: cross_parent,
+        let lookup = if hit {
+            Counter::WarmHits
+        } else {
+            Counter::WarmMisses
         };
+        instr.count(lookup, 1);
+        instr.count(Counter::WarmReplaysSkipped, u64::from(!replayed));
+        instr.count(Counter::WarmPrefixReused, reused);
+        instr.count(Counter::WarmPrefixBlasted, blasted);
+        instr.count(Counter::WarmContextKeys, u64::from(created));
+        instr.count(Counter::WarmCrossParentReuse, u64::from(cross_parent));
         if result != SatResult::Sat {
-            return Ok((result, None, Some(stats), sa_stats));
+            return Ok((result, None, true));
         }
         let model = model.ok_or(Error::WarmStart {
             what: "satisfiable warm query produced no model",
         })?;
         let bytes = crate::prescribe::witness_bytes(&model, executor.input_len());
-        Ok((result, Some(bytes), Some(stats), sa_stats))
+        Ok((result, Some(bytes), true))
     }
 
     /// Number of resident parent trails.
@@ -685,9 +665,11 @@ impl std::fmt::Debug for WarmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{MetricsRegistry, MetricsReport};
     use crate::session::{PathOutcome, SpecExecutor};
     use binsym_asm::Assembler;
     use binsym_isa::Spec;
+    use std::sync::Arc;
 
     const THREE_COMPARES: &str = r#"
         .data
@@ -715,28 +697,36 @@ c3:
         SpecExecutor::new(Spec::rv32im(), &elf, None).expect("sym input")
     }
 
+    /// The result, the witness, whether the solver ran, and the counters
+    /// one cache query recorded.
+    type Counted = (SatResult, Option<Vec<u8>>, bool, MetricsReport);
+
+    /// One cache query counted into a private registry.
+    fn counted_solve(
+        cache: &mut WarmCache,
+        exec: &mut SpecExecutor,
+        input: &[u8],
+        flip: Flip,
+        gate: StaticGate,
+    ) -> Result<Counted, Error> {
+        let registry = Arc::new(MetricsRegistry::new(0));
+        let instr = Instruments::new(Some(Arc::clone(&registry)), None, 0);
+        let (r, bytes, solved) = cache.solve_flip(exec, input, flip, 10_000, gate, &instr)?;
+        Ok((r, bytes, solved, registry.report()))
+    }
+
     /// Gate-off cache query: the oracle tests compare against a gate-free
-    /// cold path, so every query is residual and carries warm stats.
+    /// cold path, so every query is residual and counts warm stats.
     fn warm_solve(
         cache: &mut WarmCache,
         exec: &mut SpecExecutor,
         input: &[u8],
         flip: Flip,
-    ) -> Result<(SatResult, Option<Vec<u8>>, WarmQueryStats), Error> {
-        let (r, bytes, stats, _) = cache.solve_flip(
-            exec,
-            input,
-            flip,
-            10_000,
-            StaticGate::disabled(),
-            &Instruments::disabled(),
-            &mut crate::observe::NullObserver,
-        )?;
-        Ok((
-            r,
-            bytes,
-            stats.expect("gate disabled: every query is residual"),
-        ))
+    ) -> Result<(SatResult, Option<Vec<u8>>, MetricsReport), Error> {
+        let (r, bytes, solved, counts) =
+            counted_solve(cache, exec, input, flip, StaticGate::disabled())?;
+        assert!(solved, "gate disabled: every query is residual");
+        Ok((r, bytes, counts))
     }
 
     /// Cache-off reference: the exact replay sequence of the cold worker
@@ -813,12 +803,11 @@ c3:
         // Deepest-first (the DFS sibling order), then revisit ascending.
         for &ord in &[2usize, 1, 0, 1, 2] {
             let flip = flips[ord];
-            let (r, bytes, stats) =
+            let (r, bytes, _) =
                 warm_solve(&mut cache, &mut exec, &[0, 0, 0], flip).expect("solves");
             let (cold_r, cold_bytes) = cold_solve(&mut exec, &[0, 0, 0], flip);
             assert_eq!(r, cold_r, "ord {ord}");
             assert_eq!(bytes, cold_bytes, "ord {ord}: bit-identical witness");
-            assert_eq!(stats.result, r);
         }
     }
 
@@ -829,29 +818,56 @@ c3:
         let mut cache = WarmCache::new(4);
         let (_, _, first) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[2]).expect("solves");
-        assert!(!first.cache_hit, "first query builds the context");
-        assert!(!first.replay_skipped, "first query executes the prefix");
+        assert_eq!(
+            first.counter(Counter::WarmHits),
+            0,
+            "first query builds the context"
+        );
+        assert_eq!(
+            first.counter(Counter::WarmReplaysSkipped),
+            0,
+            "first query executes the prefix"
+        );
         let (_, _, second) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-        assert!(second.cache_hit, "sibling reuses the cached trail");
-        assert!(second.replay_skipped, "sibling skips the re-execution");
+        assert_eq!(
+            second.counter(Counter::WarmHits),
+            1,
+            "sibling reuses the cached trail"
+        );
+        assert_eq!(
+            second.counter(Counter::WarmReplaysSkipped),
+            1,
+            "sibling skips the re-execution"
+        );
         // The PROMOTE_AFTER_QUERIES-exceeding query promotes the parent
         // to a retained context (the prefix is blasted into it); the one
         // after is pure context reuse.
         for _ in 2..=PROMOTE_AFTER_QUERIES {
             let (_, _, s) =
                 warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-            assert_eq!(s.prefix_reused, 0, "unpromoted queries solve cold");
+            assert_eq!(
+                s.counter(Counter::WarmPrefixReused),
+                0,
+                "unpromoted queries solve cold"
+            );
         }
         let (_, _, promoting) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-        assert!(promoting.cache_hit);
+        assert_eq!(promoting.counter(Counter::WarmHits), 1);
         let (_, _, reusing) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-        assert!(reusing.cache_hit);
-        assert!(reusing.replay_skipped);
-        assert!(reusing.prefix_reused >= promoting.prefix_reused);
-        assert_eq!(reusing.prefix_blasted, 0, "same prefix: pure reuse");
+        assert_eq!(reusing.counter(Counter::WarmHits), 1);
+        assert_eq!(reusing.counter(Counter::WarmReplaysSkipped), 1);
+        assert!(
+            reusing.counter(Counter::WarmPrefixReused)
+                >= promoting.counter(Counter::WarmPrefixReused)
+        );
+        assert_eq!(
+            reusing.counter(Counter::WarmPrefixBlasted),
+            0,
+            "same prefix: pure reuse"
+        );
     }
 
     #[test]
@@ -873,7 +889,7 @@ c3:
         // bit-identical.
         let (r, bytes, stats) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[2]).expect("ok");
-        assert!(!stats.cache_hit, "evicted entry rebuilt");
+        assert_eq!(stats.counter(Counter::WarmHits), 0, "evicted entry rebuilt");
         let (cold_r, cold_bytes) = cold_solve(&mut exec, &[0, 0, 0], flips[2]);
         assert_eq!(r, cold_r);
         assert_eq!(bytes, cold_bytes);
@@ -893,7 +909,7 @@ c3:
         // Touch `a` again: `b` becomes the least-recently-used entry.
         let fa = flips_of(&mut exec, a)[0];
         let (_, _, s) = warm_solve(&mut cache, &mut exec, a, fa).expect("ok");
-        assert!(s.cache_hit);
+        assert_eq!(s.counter(Counter::WarmHits), 1);
         assert_eq!(
             cache.resident_inputs_lru_first(),
             vec![b.to_vec(), a.to_vec()]
@@ -906,10 +922,14 @@ c3:
             vec![a.to_vec(), c.to_vec()]
         );
         let (_, _, sa) = warm_solve(&mut cache, &mut exec, a, fa).expect("ok");
-        assert!(sa.cache_hit, "a survived the eviction");
+        assert_eq!(sa.counter(Counter::WarmHits), 1, "a survived the eviction");
         let fb = flips_of(&mut exec, b)[0];
         let (_, _, sb) = warm_solve(&mut cache, &mut exec, b, fb).expect("ok");
-        assert!(!sb.cache_hit, "b was the deterministic victim");
+        assert_eq!(
+            sb.counter(Counter::WarmHits),
+            0,
+            "b was the deterministic victim"
+        );
     }
 
     #[test]
@@ -924,8 +944,12 @@ c3:
         let fb = flips_of(&mut exec, b)[2];
         let mut cache = WarmCache::new(4);
         let (_, _, first) = warm_solve(&mut cache, &mut exec, a, fa).expect("ok");
-        assert!(first.context_key_created, "first query opens the region");
-        assert!(!first.cross_parent_reuse);
+        assert_eq!(
+            first.counter(Counter::WarmContextKeys),
+            1,
+            "first query opens the region"
+        );
+        assert_eq!(first.counter(Counter::WarmCrossParentReuse), 0);
         // Pool queries on the region through parent `a` until promotion.
         for _ in 1..=PROMOTE_AFTER_QUERIES {
             warm_solve(&mut cache, &mut exec, a, fa).expect("ok");
@@ -935,10 +959,25 @@ c3:
         // prefix is served from the retained bit-blast and the answer is
         // still bit-identical to a cold replay of `b`.
         let (r, bytes, s) = warm_solve(&mut cache, &mut exec, b, fb).expect("ok");
-        assert!(!s.context_key_created, "same structural key: no new region");
-        assert!(s.cross_parent_reuse, "a context built by `a` served `b`");
-        assert!(s.prefix_reused > 0, "cross-parent bit-blast reuse");
-        assert_eq!(s.prefix_blasted, 0, "identical prefix: nothing re-blasted");
+        assert_eq!(
+            s.counter(Counter::WarmContextKeys),
+            0,
+            "same structural key: no new region"
+        );
+        assert_eq!(
+            s.counter(Counter::WarmCrossParentReuse),
+            1,
+            "a context built by `a` served `b`"
+        );
+        assert!(
+            s.counter(Counter::WarmPrefixReused) > 0,
+            "cross-parent bit-blast reuse"
+        );
+        assert_eq!(
+            s.counter(Counter::WarmPrefixBlasted),
+            0,
+            "identical prefix: nothing re-blasted"
+        );
         assert_eq!(cache.context_len(), 1, "still one region");
         let (cold_r, cold_bytes) = cold_solve(&mut exec, b, fb);
         assert_eq!(r, cold_r);
@@ -948,7 +987,11 @@ c3:
         let c: &[u8] = &[200, 0, 0];
         let fc = flips_of(&mut exec, c)[1];
         let (_, _, sc) = warm_solve(&mut cache, &mut exec, c, fc).expect("ok");
-        assert!(sc.context_key_created, "divergent prefix: new region");
+        assert_eq!(
+            sc.counter(Counter::WarmContextKeys),
+            1,
+            "divergent prefix: new region"
+        );
         assert_eq!(cache.context_len(), 2);
     }
 
@@ -1013,39 +1056,30 @@ c2:
         assert_eq!(flips.len(), 2);
         let mut cache = WarmCache::new(4);
         let gate = StaticGate::new(true, true); // shadow-checked
-        let (r, bytes, warm, sa) = cache
-            .solve_flip(
-                &mut exec,
-                &[0],
-                flips[1],
-                10_000,
-                gate,
-                &Instruments::disabled(),
-                &mut crate::observe::NullObserver,
-            )
-            .expect("solves");
+        let (r, bytes, solved, counts) =
+            counted_solve(&mut cache, &mut exec, &[0], flips[1], gate).expect("solves");
         assert_eq!(r, SatResult::Unsat);
         assert!(bytes.is_none());
-        assert!(warm.is_none(), "eliminated query carries no warm stats");
-        let sa = sa.expect("gate screened the query");
-        assert_eq!(sa.eliminated, Some(SatResult::Unsat));
+        assert!(!solved, "the gate decided the query");
+        assert_eq!(counts.counter(Counter::GateEliminated), 1);
+        assert_eq!(counts.counter(Counter::Queries), 0);
+        let lookups =
+            |c: &MetricsReport| c.counter(Counter::WarmHits) + c.counter(Counter::WarmMisses);
+        assert_eq!(
+            lookups(&counts),
+            0,
+            "an eliminated query counts no warm stats"
+        );
         // The first flip is residual: the gate screens it but the solver
         // decides it, bit-identically to a gate-free cold replay.
-        let (r0, b0, warm0, sa0) = cache
-            .solve_flip(
-                &mut exec,
-                &[0],
-                flips[0],
-                10_000,
-                gate,
-                &Instruments::disabled(),
-                &mut crate::observe::NullObserver,
-            )
-            .expect("solves");
+        let (r0, b0, solved0, counts0) =
+            counted_solve(&mut cache, &mut exec, &[0], flips[0], gate).expect("solves");
         let (cold_r, cold_b) = cold_solve(&mut exec, &[0], flips[0]);
         assert_eq!(r0, cold_r);
         assert_eq!(b0, cold_b);
-        assert!(warm0.is_some(), "residual query carries warm stats");
-        assert_eq!(sa0.expect("screened").eliminated, None);
+        assert!(solved0, "residual query went to the solver");
+        assert_eq!(counts0.counter(Counter::GateScreened), 1);
+        assert_eq!(counts0.counter(Counter::GateEliminated), 0);
+        assert_eq!(lookups(&counts0), 1, "a residual query counts warm stats");
     }
 }

@@ -58,7 +58,7 @@ use crate::sat::{Lit, RollbackError, SatResult, SatSolver};
 use crate::term::{Sort, Term, TermManager};
 
 /// What one [`PrefixContext::solve_flip`] call did, for cache-efficiency
-/// reporting (hit/miss counters in the engine's observers).
+/// reporting (the engine's warm-cache metrics counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixSolveReport {
     /// The query result.

@@ -30,13 +30,13 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::bench::{coverage_trajectory, SearchStrategy};
 use binsym_repro::binsym::{
-    CheckpointEvent, ChromeTraceSink, CountingObserver, CoverageGuided, CoverageMap,
-    CoverageObserver, MetricsRegistry, Observer, PathRecord, Prescription, Session, Summary,
+    CheckpointEvent, ChromeTraceSink, Counter, CoverageGuided, CoverageMap, CoverageObserver,
+    MetricsRegistry, MetricsReport, Observer, PathRecord, Prescription, Session, Summary,
     TraceSink,
 };
 use binsym_repro::isa::Spec;
@@ -66,49 +66,42 @@ fn coverage_run_configured(
     (summary, records, covered)
 }
 
-/// Like [`coverage_run_configured`], additionally composing a shared
-/// [`CountingObserver`] next to each worker's coverage observer (the
-/// observer-pair impl fans every callback out to both) so the suite can
-/// assert the structurally-keyed warm cache engaged.
+/// Like [`coverage_run_configured`], additionally installing a metrics
+/// registry so the suite can assert the structurally-keyed warm cache
+/// engaged.
 fn coverage_run_counted(
     p: &Program,
     workers: usize,
     limit: Option<u64>,
     warm: bool,
     analysis: bool,
-) -> (Summary, Vec<PathRecord>, u64, CountingObserver) {
+) -> (Summary, Vec<PathRecord>, u64, MetricsReport) {
     let elf = p.build();
     let map = CoverageMap::shared_for(&elf);
     let policy_map = Arc::clone(&map);
     let observer_map = Arc::clone(&map);
-    let counters = Arc::new(Mutex::new(CountingObserver::new()));
-    let handle = Arc::clone(&counters);
+    let registry = Arc::new(MetricsRegistry::new(workers));
     let mut builder = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
         .warm_start(warm)
         .static_analysis(analysis)
+        .metrics(Arc::clone(&registry))
         .shard_strategy(move |_| {
             Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
         })
-        .observer_factory(move |_| {
-            Box::new((
-                Arc::clone(&handle),
-                CoverageObserver::new(Arc::clone(&observer_map)),
-            ))
-        });
+        .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&observer_map))));
     if let Some(limit) = limit {
         builder = builder.limit(limit);
     }
     let mut session = builder.build_parallel().expect("builds");
     assert_eq!(session.strategy_name(), "coverage");
     let summary = session.run_all().expect("explores");
-    let counts = *counters.lock().expect("counters");
     (
         summary,
         session.records().to_vec(),
         map.covered_count(),
-        counts,
+        registry.report(),
     )
 }
 
@@ -229,15 +222,15 @@ fn check_warm_start(p: &Program, limit: u64) {
         assert_eq!(records, ref_records, "{what}: byte-identical to cache-off");
         assert!(covered > 0, "{what}: map was fed");
         assert!(
-            counts.warm_context_keys > 0,
+            counts.counter(Counter::WarmContextKeys) > 0,
             "{what}: structural context keys were opened"
         );
         assert!(
-            counts.warm_prefix_reused > 0,
+            counts.counter(Counter::WarmPrefixReused) > 0,
             "{what}: retained contexts served prefix terms"
         );
         assert!(
-            counts.warm_cross_parent_reuse > 0,
+            counts.counter(Counter::WarmCrossParentReuse) > 0,
             "{what}: structural keys must share contexts across sibling parents"
         );
     }
@@ -274,7 +267,8 @@ fn instrumented_coverage_run(p: &Program, workers: usize) -> (Summary, Vec<PathR
     let summary = session.run_all().expect("explores");
     let report = registry.report();
     assert_eq!(
-        report.paths, summary.paths,
+        report.counter(Counter::Paths),
+        summary.paths,
         "{}: metrics count every merged path",
         p.name
     );

@@ -21,7 +21,7 @@
 //! ([`Session`]`Builder::static_analysis`) carries the same contract with
 //! one calibrated exception: it *removes* whole solver checks (so
 //! `solver_checks` shrinks by exactly the eliminated count, which the
-//! suite asserts via the observer's `sa_queries_eliminated`), but the
+//! suite asserts via the registry's `Counter::GateEliminated`), but the
 //! merged records — witness bytes included — stay byte-identical to the
 //! gate-off run at every worker count, warm or cold.
 //!
@@ -46,12 +46,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::bench::{TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
 use binsym_repro::binsym::{
-    AddressPolicyKind, CheckpointEvent, ChromeTraceSink, CountingObserver, MetricsRegistry,
+    AddressPolicyKind, CheckpointEvent, ChromeTraceSink, Counter, MetricsRegistry, MetricsReport,
     Observer, PathRecord, Prescription, RandomRestart, Session, Summary, TraceSink, TrailEntry,
 };
 use binsym_repro::isa::Spec;
@@ -139,43 +139,42 @@ fn assert_summaries_equal_modulo_checks(a: &Summary, b: &Summary, what: &str) {
 }
 
 /// One parallel run with the static-analysis gate explicitly set, plus a
-/// shared counting observer so the gate's elimination counters are
-/// visible to the accounting assertions.
+/// metrics registry so the gate's elimination counters are visible to the
+/// accounting assertions.
 fn analysis_run(
     p: &Program,
     workers: usize,
     limit: Option<u64>,
     warm: bool,
     analysis: bool,
-) -> (Summary, Vec<PathRecord>, CountingObserver) {
+) -> (Summary, Vec<PathRecord>, MetricsReport) {
     let elf = p.build();
-    let counters = Arc::new(Mutex::new(CountingObserver::new()));
-    let handle = Arc::clone(&counters);
+    let registry = Arc::new(MetricsRegistry::new(workers));
     let mut builder = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
         .warm_start(warm)
         .static_analysis(analysis)
-        .observer_factory(move |_| Box::new(Arc::clone(&handle)));
+        .metrics(Arc::clone(&registry));
     if let Some(limit) = limit {
         builder = builder.limit(limit);
     }
     let mut session = builder.build_parallel().expect("builds");
     let summary = session.run_all().expect("explores");
-    let counts = *counters.lock().expect("counters");
-    (summary, session.records().to_vec(), counts)
+    (summary, session.records().to_vec(), registry.report())
 }
 
 /// The static-analysis contract: gate on vs. off, cold and warm, at every
 /// worker count — merged records byte-identical, and every solver check
-/// the gated run saves accounted for one-to-one by `sa_queries_eliminated`.
+/// the gated run saves accounted for one-to-one by `Counter::GateEliminated`.
 fn check_static_analysis(p: &Program, limit: Option<u64>) {
     let (off_summary, off_records, off_counts) = analysis_run(p, 1, limit, false, false);
     if limit.is_none() {
         assert_eq!(off_summary.paths, p.expected_paths, "{}: gate off", p.name);
     }
     assert_eq!(
-        off_counts.sa_queries_eliminated, 0,
+        off_counts.counter(Counter::GateScreened),
+        0,
         "{}: a disabled gate must not screen anything",
         p.name
     );
@@ -190,23 +189,23 @@ fn check_static_analysis(p: &Program, limit: Option<u64>) {
             assert_eq!(records, off_records, "{what}: byte-identical to gate-off");
             assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
             if limit.is_none() {
-                // Full run: every attempt merges, so the observer's
+                // Full run: every attempt merges, so the registry's
                 // elimination counter explains the check delta exactly.
                 assert_eq!(
-                    summary.solver_checks + counts.sa_queries_eliminated,
+                    summary.solver_checks + counts.counter(Counter::GateEliminated),
                     off_summary.solver_checks,
                     "{what}: eliminated queries must explain the full check delta"
                 );
             } else {
                 // Truncated run: merged `solver_checks` stops at the
-                // canonical cut, but the observer also sees racer
+                // canonical cut, but the registry also counts racer
                 // attempts beyond it — only the inequalities are pinned.
                 assert!(
                     summary.solver_checks <= off_summary.solver_checks,
                     "{what}: the gate may only remove checks"
                 );
                 assert!(
-                    counts.sa_queries_eliminated
+                    counts.counter(Counter::GateEliminated)
                         >= off_summary.solver_checks - summary.solver_checks,
                     "{what}: eliminations must cover the in-cut check delta"
                 );
@@ -317,8 +316,8 @@ fn check_truncated(p: &Program, limit: u64) {
 /// every worker count, with the random shard policy, and on a truncated
 /// (`limit`) run. The cache affects wall time only, never models.
 ///
-/// The structural-key pin rides along: warm runs carry a counting
-/// observer, and the suite asserts the structurally-keyed context cache
+/// The structural-key pin rides along: warm runs carry a metrics
+/// registry, and the suite asserts the structurally-keyed context cache
 /// actually engaged — contexts were opened, prefix terms were served warm,
 /// and entries were re-used across *different* parent inputs — while the
 /// records above stay byte-identical. Cross-parent sharing is the whole
@@ -335,19 +334,19 @@ fn check_warm_start(p: &Program, limit: u64) {
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_eq!(records, ref_records, "{what}: byte-identical to cache-off");
         assert!(
-            counts.warm_hits + counts.warm_misses > 0,
+            counts.counter(Counter::WarmHits) + counts.counter(Counter::WarmMisses) > 0,
             "{what}: warm queries fired"
         );
         assert!(
-            counts.warm_context_keys > 0,
+            counts.counter(Counter::WarmContextKeys) > 0,
             "{what}: structural context keys were opened"
         );
         assert!(
-            counts.warm_prefix_reused > 0,
+            counts.counter(Counter::WarmPrefixReused) > 0,
             "{what}: retained contexts served prefix terms"
         );
         assert!(
-            counts.warm_cross_parent_reuse > 0,
+            counts.counter(Counter::WarmCrossParentReuse) > 0,
             "{what}: structural keys must share contexts across sibling parents"
         );
     }
@@ -467,30 +466,28 @@ fn check_kill_resume_policy(p: &Program, fire_at: u64, policy: AddressPolicyKind
 }
 
 /// One parallel run under an explicit address-concretization policy, with
-/// the warm-start and static-gate knobs, plus the shared counting observer
-/// for check accounting.
+/// the warm-start and static-gate knobs, plus a metrics registry for
+/// check accounting.
 fn policy_run(
     p: &Program,
     workers: usize,
     policy: AddressPolicyKind,
     warm: bool,
     analysis: bool,
-) -> (Summary, Vec<PathRecord>, CountingObserver) {
+) -> (Summary, Vec<PathRecord>, MetricsReport) {
     let elf = p.build();
-    let counters = Arc::new(Mutex::new(CountingObserver::new()));
-    let handle = Arc::clone(&counters);
+    let registry = Arc::new(MetricsRegistry::new(workers));
     let mut session = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
         .warm_start(warm)
         .static_analysis(analysis)
         .address_policy(policy)
-        .observer_factory(move |_| Box::new(Arc::clone(&handle)))
+        .metrics(Arc::clone(&registry))
         .build_parallel()
         .expect("builds");
     let summary = session.run_all().expect("explores");
-    let counts = *counters.lock().expect("counters");
-    (summary, session.records().to_vec(), counts)
+    (summary, session.records().to_vec(), registry.report())
 }
 
 /// The per-policy determinism contract on one program: against the
@@ -503,7 +500,8 @@ fn check_policy_matrix(p: &Program, policy: AddressPolicyKind, expected_paths: u
     let what = format!("{} ({policy})", p.name);
     assert_eq!(off_summary.paths, expected_paths, "{what}: pinned count");
     assert_eq!(
-        off_counts.sa_queries_eliminated, 0,
+        off_counts.counter(Counter::GateScreened),
+        0,
         "{what}: a disabled gate must not screen anything"
     );
     for workers in [1usize, 2, 4, 8] {
@@ -520,7 +518,7 @@ fn check_policy_matrix(p: &Program, policy: AddressPolicyKind, expected_paths: u
                 assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
                 if gate {
                     assert_eq!(
-                        summary.solver_checks + counts.sa_queries_eliminated,
+                        summary.solver_checks + counts.counter(Counter::GateEliminated),
                         off_summary.solver_checks,
                         "{what}: eliminated queries must explain the full check delta"
                     );
@@ -557,11 +555,16 @@ fn instrumented_run(p: &Program, workers: usize) -> (Summary, Vec<PathRecord>) {
     let summary = session.run_all().expect("explores");
     let report = registry.report();
     assert_eq!(
-        report.paths, summary.paths,
+        report.counter(Counter::Paths),
+        summary.paths,
         "{}: metrics count every merged path",
         p.name
     );
-    assert!(report.queries > 0, "{}: queries were timed", p.name);
+    assert!(
+        report.counter(Counter::Queries) > 0,
+        "{}: queries were timed",
+        p.name
+    );
     assert!(!sink.is_empty(), "{}: phases were traced", p.name);
     (summary, session.records().to_vec())
 }
@@ -580,6 +583,172 @@ fn check_instrumentation(p: &Program) {
             "{what}: byte-identical to instrumentation-off"
         );
     }
+}
+
+/// The static-analysis gate's counters, in [`CounterPins::gate`] order.
+const GATE_COUNTERS: [Counter; 3] = [
+    Counter::GateScreened,
+    Counter::GateEliminated,
+    Counter::GateFacts,
+];
+
+/// The warm-cache counters, in [`CounterPins::warm1`] order.
+const WARM_COUNTERS: [Counter; 7] = [
+    Counter::WarmHits,
+    Counter::WarmMisses,
+    Counter::WarmReplaysSkipped,
+    Counter::WarmPrefixReused,
+    Counter::WarmPrefixBlasted,
+    Counter::WarmContextKeys,
+    Counter::WarmCrossParentReuse,
+];
+
+/// Pinned registry counters of one program.
+struct CounterPins {
+    /// Screened / eliminated / facts: exact on every engine, worker count,
+    /// and cache setting.
+    gate: [u64; 3],
+    /// The warm-cache counters of a 1-worker warm run (at two or more
+    /// workers they depend on the schedule).
+    warm1: [u64; 7],
+}
+
+/// One complete run (`None` = the sequential engine) with a registry.
+fn counted_run(p: &Program, workers: Option<usize>, warm: bool) -> (Summary, MetricsReport) {
+    let elf = p.build();
+    let registry = Arc::new(MetricsRegistry::new(workers.unwrap_or(1)));
+    let builder = Session::builder(Spec::rv32im())
+        .binary(&elf)
+        .metrics(Arc::clone(&registry));
+    let summary = match workers {
+        None => builder.build().expect("builds").run_all(),
+        Some(w) => builder
+            .workers(w)
+            .warm_start(warm)
+            .build_parallel()
+            .expect("builds")
+            .run_all(),
+    }
+    .expect("explores");
+    (summary, registry.report())
+}
+
+/// The counter contract: the exact counters (paths, queries, UNSAT
+/// verdicts, gate) agree across the sequential engine and 1/2/4 workers,
+/// cold and warm, and match the pins; warm runs route every solver query
+/// through the cache, and at one worker the warm counters match the pins.
+fn check_counter_pins(p: &Program, pins: &CounterPins) {
+    let values =
+        |r: &MetricsReport, cs: &[Counter]| cs.iter().map(|&c| r.counter(c)).collect::<Vec<_>>();
+    let (seq, seq_report) = counted_run(p, None, false);
+    assert_eq!(seq.paths, p.expected_paths, "{}: sequential", p.name);
+    let unsat = seq_report.counter(Counter::UnsatQueries);
+    let mut runs = vec![(None, false, seq, seq_report)];
+    for workers in [1usize, 2, 4] {
+        for warm in [false, true] {
+            let (summary, report) = counted_run(p, Some(workers), warm);
+            runs.push((Some(workers), warm, summary, report));
+        }
+    }
+    for (workers, warm, summary, report) in runs {
+        let what = format!(
+            "{}, {workers:?} workers{}",
+            p.name,
+            if warm { " + warm" } else { "" }
+        );
+        assert_eq!(
+            values(&report, &GATE_COUNTERS),
+            pins.gate,
+            "{what}: gate counters"
+        );
+        assert_eq!(
+            report.counter(Counter::Paths),
+            summary.paths,
+            "{what}: paths"
+        );
+        assert_eq!(
+            report.counter(Counter::Queries),
+            summary.solver_checks,
+            "{what}: queries"
+        );
+        assert_eq!(
+            report.counter(Counter::UnsatQueries),
+            unsat,
+            "{what}: UNSAT verdicts"
+        );
+        let warm_values = values(&report, &WARM_COUNTERS);
+        if !warm {
+            assert!(warm_values.iter().all(|&v| v == 0), "{what}: cache off");
+            continue;
+        }
+        assert_eq!(
+            report.counter(Counter::WarmHits) + report.counter(Counter::WarmMisses),
+            summary.solver_checks,
+            "{what}: every solver query looked the cache up"
+        );
+        if workers == Some(1) {
+            assert_eq!(warm_values, pins.warm1, "{what}: warm counters");
+        }
+    }
+}
+
+#[test]
+fn clif_parser_counters_are_pinned() {
+    check_counter_pins(
+        &programs::CLIF_PARSER,
+        &CounterPins {
+            gate: [119, 0, 1389],
+            warm1: [95, 24, 95, 534, 154, 3, 38],
+        },
+    );
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn uri_parser_counters_are_pinned() {
+    check_counter_pins(
+        &programs::URI_PARSER,
+        &CounterPins {
+            gate: [2059, 0, 62724],
+            warm1: [840, 1219, 840, 26544, 2074, 3, 1762],
+        },
+    );
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn bubble_sort_counters_are_pinned() {
+    check_counter_pins(
+        &programs::BUBBLE_SORT,
+        &CounterPins {
+            gate: [2421, 1702, 48656],
+            warm1: [585, 134, 585, 6568, 1092, 3, 485],
+        },
+    );
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn insertion_sort_counters_are_pinned() {
+    check_counter_pins(
+        &programs::INSERTION_SORT,
+        &CounterPins {
+            gate: [5039, 0, 130108],
+            warm1: [3936, 1103, 3936, 59959, 5095, 3, 1970],
+        },
+    );
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn base64_encode_counters_are_pinned() {
+    check_counter_pins(
+        &programs::BASE64_ENCODE,
+        &CounterPins {
+            gate: [6249, 0, 156254],
+            warm1: [3075, 3174, 3075, 74951, 6301, 3, 4371],
+        },
+    );
 }
 
 #[test]
