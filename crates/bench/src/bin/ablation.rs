@@ -86,19 +86,22 @@
 //! without the full matrix.
 
 use std::cell::RefCell;
-use std::path::{Path, PathBuf};
+use std::num::NonZeroUsize;
+use std::path::Path;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use binsym::{
-    AddressPolicyKind, BitblastBackend, ChromeTraceSink, Counter, MetricsRegistry, Session,
-    TraceSink,
+    AddressPolicyKind, BitblastBackend, Counter, MetricsReport, Session, SessionBuilder, TraceSink,
 };
-use binsym_bench::cli::{counter_per_round, metrics_json, write_json, BenchOpts, Json};
+use binsym_bench::cli::{
+    counter_per_round, metrics_json, write_json, BenchOpts, CampaignTrace, Json,
+};
+use binsym_bench::engines::suffixed;
 use binsym_bench::{
-    all_programs, coverage_trajectory, policy_trajectory, programs, SearchStrategy, TABLE_LOOKUP,
-    TABLE_LOOKUP_SYMBOLIC_PATHS,
+    all_programs, policy_trajectory, programs, run, wire, Engine, Program, RunConfig,
+    SearchStrategy, Wiring, TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS,
 };
 use binsym_isa::Spec;
 use binsym_lifter::{EngineConfig, LifterBugs, LifterExecutor};
@@ -108,22 +111,15 @@ fn main() {
     if opts.resume.is_some() {
         eprintln!("--resume is ignored: ablations time complete runs only");
     }
-    let progs = if opts.smoke {
-        vec![programs::CLIF_PARSER]
-    } else {
-        vec![programs::CLIF_PARSER, programs::URI_PARSER]
-    };
-    let progs = &progs[..];
     let mut json_rows = Vec::new();
-    let sink = opts
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(ChromeTraceSink::new()));
-    let trace = sink.as_ref().map(|s| Arc::clone(s) as Arc<dyn TraceSink>);
+    let trace = CampaignTrace::new(&opts);
+    let sink = trace.sink();
+    let sink = sink.as_ref();
+    let runs = opts.runs.map_or(1, NonZeroUsize::get);
+    let checkpoint_base = opts.checkpoint.as_ref().map(|(base, _)| base.as_path());
 
     if opts.smoke {
         let max_workers = opts.workers.unwrap_or(2);
-        let runs = opts.runs.unwrap_or(1);
         // uri-parser rides along in the CI-sized run because it is the
         // program whose flip set only shares prefixes *across* parents:
         // its `warm_prefix_reused` was exactly 0 under input keying, so
@@ -133,7 +129,7 @@ fn main() {
             max_workers,
             runs,
             opts.metrics,
-            trace.as_ref(),
+            sink,
             &mut json_rows,
         );
         assert_warm_prefix_reuse(&json_rows, "uri-parser");
@@ -145,7 +141,7 @@ fn main() {
             max_workers,
             runs,
             opts.metrics,
-            trace.as_ref(),
+            sink,
             &mut json_rows,
         );
         // Checkpoint overhead on the smallest program: CI pins that the
@@ -155,7 +151,8 @@ fn main() {
             &[programs::CLIF_PARSER],
             max_workers,
             runs,
-            opts.checkpoint.as_deref(),
+            checkpoint_base,
+            sink,
             &mut json_rows,
         );
         // The memory-policy separation: CI pins that `symbolic:64` reaches
@@ -171,16 +168,17 @@ fn main() {
             ]);
             write_json(path, &doc);
         }
-        write_trace(&opts, &sink);
+        trace.finish();
         return;
     }
 
+    let progs = [programs::CLIF_PARSER, programs::URI_PARSER];
     println!("ABLATION 1 — incremental vs. fresh-solver DSE (BinSym engine)\n");
     println!(
         "{:<16} {:>14} {:>14} {:>8}",
         "Benchmark", "incremental", "fresh/query", "speedup"
     );
-    for p in progs {
+    for p in &progs {
         let elf = p.build();
         let mut times = Vec::new();
         for fresh in [false, true] {
@@ -219,7 +217,7 @@ fn main() {
         "{:<16} {:>14} {:>14} {:>12} {:>8}",
         "Benchmark", "cached", "uncached", "lifts(unc.)", "slowdown"
     );
-    for p in progs {
+    for p in &progs {
         let elf = p.build();
         let mut times = Vec::new();
         let mut lifts = 0;
@@ -268,19 +266,19 @@ fn main() {
     // All five Table I programs: the structural context keys must show
     // nonzero prefix reuse on every one of them, so the full run records
     // warm counters for the whole table (`--quick` keeps the small ones).
-    let a3_progs: Vec<_> = all_programs()
+    let table1: Vec<_> = all_programs()
         .into_iter()
         .filter(|p| !(opts.quick && p.expected_paths > 1000))
         .collect();
     ablation3(
-        &a3_progs,
+        &table1,
         max_workers,
-        opts.runs.unwrap_or(1),
+        runs,
         opts.metrics,
-        trace.as_ref(),
+        sink,
         &mut json_rows,
     );
-    for p in &a3_progs {
+    for p in &table1 {
         assert_warm_prefix_reuse(&json_rows, p.name);
     }
 
@@ -289,20 +287,17 @@ fn main() {
         "{:<16} {:>8} {:>8} {:>10} {:>10} {:>12}",
         "Benchmark", "dfs", "bfs", "coverage", "text PCs", "total paths"
     );
-    for p in all_programs() {
-        if opts.quick && p.expected_paths > 1000 {
-            continue;
-        }
+    for p in &table1 {
         let mut to_full = Vec::new();
         let mut reference: Option<(u64, u64)> = None;
         for strategy in SearchStrategy::ALL {
-            let (paths_to_full, final_cov, total) = coverage_trajectory(&p, strategy);
-            assert_eq!(total, p.expected_paths, "{}: full enumeration", p.name);
+            let t = policy_trajectory(p, strategy, AddressPolicyKind::default());
+            assert_eq!(t.paths, p.expected_paths, "{}: full enumeration", p.name);
             match reference {
-                None => reference = Some((final_cov, total)),
+                None => reference = Some((t.covered_pcs, t.paths)),
                 Some(r) => assert_eq!(
                     r,
-                    (final_cov, total),
+                    (t.covered_pcs, t.paths),
                     "{}: final coverage is strategy-independent",
                     p.name
                 ),
@@ -311,11 +306,11 @@ fn main() {
                 ("ablation", Json::s("coverage-velocity")),
                 ("benchmark", Json::s(p.name)),
                 ("strategy", Json::s(strategy.name())),
-                ("paths_to_full_coverage", Json::U(paths_to_full)),
-                ("covered_pcs", Json::U(final_cov)),
-                ("total_paths", Json::U(total)),
+                ("paths_to_full_coverage", Json::U(t.paths_to_full_coverage)),
+                ("covered_pcs", Json::U(t.covered_pcs)),
+                ("total_paths", Json::U(t.paths)),
             ]));
-            to_full.push(paths_to_full);
+            to_full.push(t.paths_to_full_coverage);
         }
         let (final_cov, total) = reference.expect("ran");
         println!(
@@ -324,38 +319,27 @@ fn main() {
         );
     }
 
-    let a5_progs: Vec<_> = all_programs()
-        .into_iter()
-        .filter(|p| !(opts.quick && p.expected_paths > 1000))
-        .collect();
     ablation5(
-        &a5_progs,
+        &table1,
         max_workers,
-        opts.runs.unwrap_or(1),
+        runs,
         opts.metrics,
-        trace.as_ref(),
+        sink,
         &mut json_rows,
     );
-
-    let a6_progs: Vec<_> = all_programs()
-        .into_iter()
-        .filter(|p| !(opts.quick && p.expected_paths > 1000))
-        .collect();
     ablation6(
-        &a6_progs,
+        &table1,
         max_workers,
-        opts.runs.unwrap_or(1),
-        opts.checkpoint.as_deref(),
+        runs,
+        checkpoint_base,
+        sink,
         &mut json_rows,
     );
 
     // table-lookup leads: it is the program the policies were built to
     // separate; the Table I programs ride along to pin that the policies
     // are inert where every address is concrete.
-    let a7_progs: Vec<_> = std::iter::once(TABLE_LOOKUP)
-        .chain(all_programs())
-        .filter(|p| !(opts.quick && p.expected_paths > 1000))
-        .collect();
+    let a7_progs: Vec<_> = std::iter::once(TABLE_LOOKUP).chain(table1).collect();
     ablation7(&a7_progs, &mut json_rows);
 
     if let Some(path) = &opts.json {
@@ -366,20 +350,67 @@ fn main() {
         ]);
         write_json(path, &doc);
     }
-    write_trace(&opts, &sink);
+    trace.finish();
 }
 
-/// Writes the shared campaign trace when `--trace PATH` was given.
-fn write_trace(opts: &BenchOpts, sink: &Option<Arc<ChromeTraceSink>>) {
-    if let (Some(path), Some(sink)) = (&opts.trace, sink) {
-        sink.write_to(path)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-        println!(
-            "trace: {} events written to {} (open in ui.perfetto.dev)",
-            sink.len(),
-            path.display()
-        );
+/// One variant's totals over the rounds of a timed comparison.
+struct Timed {
+    /// Mean wall seconds per round.
+    seconds: f64,
+    /// Mean solver checks per round.
+    solver_checks: u64,
+    /// Metrics merged over all rounds.
+    report: MetricsReport,
+}
+
+/// Times `N` variants of the raw sharded engine on `p` over `runs` rounds,
+/// interleaved so slow machine drift hits every variant equally.
+/// `variant(slot, builder)` configures one variant on the wired builder.
+/// Every variant carries the identical instrumentation (a metrics registry
+/// per round, the campaign trace), so the deltas measure the variants
+/// alone; every round must reproduce the pinned path count.
+fn timed_variants<const N: usize>(
+    p: &Program,
+    workers: usize,
+    runs: usize,
+    trace: Option<&Arc<dyn TraceSink>>,
+    variant: impl Fn(usize, SessionBuilder) -> SessionBuilder,
+) -> [Timed; N] {
+    let elf = p.build();
+    let cfg = RunConfig {
+        workers,
+        metrics: true,
+        trace: trace.cloned(),
+        ..RunConfig::default()
+    };
+    let mut timed: [Timed; N] = std::array::from_fn(|_| Timed {
+        seconds: 0.0,
+        solver_checks: 0,
+        report: MetricsReport::empty(),
+    });
+    for _ in 0..runs {
+        for (slot, t) in timed.iter_mut().enumerate() {
+            let Wiring {
+                builder, metrics, ..
+            } = wire(Engine::Raw, &elf, &cfg);
+            let mut session = variant(slot, builder).build_parallel().expect("builds");
+            let start = Instant::now();
+            let s = session.run_all().expect("explores");
+            t.seconds += start.elapsed().as_secs_f64();
+            assert_eq!(
+                s.paths, p.expected_paths,
+                "{}: variant {slot} changed the path count",
+                p.name
+            );
+            t.solver_checks += s.solver_checks;
+            t.report.merge(&metrics.expect("metrics on").report());
+        }
     }
+    for t in &mut timed {
+        t.seconds /= runs as f64;
+        t.solver_checks /= runs as u64;
+    }
+    timed
 }
 
 /// Ablation 3: the sharded engine at 1..=N workers, each worker count
@@ -389,7 +420,7 @@ fn write_trace(opts: &BenchOpts, sink: &Option<Arc<ChromeTraceSink>>) {
 /// hit/reuse counters — is the replayed-prefix cost the warm start claws
 /// back.
 fn ablation3(
-    progs: &[binsym_bench::Program],
+    progs: &[Program],
     max_workers: usize,
     runs: usize,
     metrics: bool,
@@ -401,62 +432,27 @@ fn ablation3(
         "{:<16} {:>12}   per worker count: cold/warm wall (cold→warm ms/path)",
         "Benchmark", "sequential"
     );
-    for &p in progs {
-        let elf = p.build();
-        let mut session = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .build()
-            .expect("sym input");
-        let start = Instant::now();
-        let s = session.run_all().expect("explores");
-        assert_eq!(s.paths, p.expected_paths);
-        let seq = start.elapsed();
-
+    for p in progs {
+        let seq = run(Engine::Raw, &p.build(), &RunConfig::default()).expect("explores");
+        assert_eq!(seq.summary.paths, p.expected_paths);
         let mut cells = Vec::new();
         let mut workers = 1usize;
         while workers <= max_workers {
-            let mut seconds = [0.0f64; 2];
-            // One registry per side, accumulating across all rounds. Both
-            // sides carry the identical instrumentation, so the cold/warm
-            // delta measures the cache alone.
-            let registries: [Arc<MetricsRegistry>; 2] =
-                std::array::from_fn(|_| Arc::new(MetricsRegistry::new(workers)));
-            // Interleave the cold/warm rounds so slow machine drift hits
-            // both sides equally.
-            for _ in 0..runs.max(1) {
-                for (slot, warm) in [false, true].into_iter().enumerate() {
-                    let mut builder = Session::builder(Spec::rv32im())
-                        .binary(&elf)
-                        .workers(workers)
-                        .warm_start(warm)
-                        .metrics(Arc::clone(&registries[slot]));
-                    if let Some(sink) = trace {
-                        builder = builder.trace(Arc::clone(sink));
-                    }
-                    let mut par = builder.build_parallel().expect("builds");
-                    let start = Instant::now();
-                    let s = par.run_all().expect("explores");
-                    assert_eq!(s.paths, p.expected_paths, "sharding must not change paths");
-                    seconds[slot] += start.elapsed().as_secs_f64();
-                }
-            }
-            for slot in &mut seconds {
-                *slot /= runs.max(1) as f64;
-            }
-            for (slot, warm) in [false, true].into_iter().enumerate() {
-                let report = registries[slot].report();
+            let timed: [Timed; 2] =
+                timed_variants(p, workers, runs, trace, |slot, b| b.warm_start(slot == 1));
+            for (t, warm) in timed.iter().zip([false, true]) {
                 let mut row = vec![
                     ("ablation", Json::s("worker-scaling")),
                     ("benchmark", Json::s(p.name)),
                     ("workers", Json::U(workers as u64)),
                     ("warm_start", Json::B(warm)),
-                    ("runs", Json::U(runs.max(1) as u64)),
-                    ("seconds", Json::F(seconds[slot])),
+                    ("runs", Json::U(runs as u64)),
+                    ("seconds", Json::F(t.seconds)),
                     (
                         "seconds_per_path",
-                        Json::F(seconds[slot] / p.expected_paths as f64),
+                        Json::F(t.seconds / p.expected_paths as f64),
                     ),
-                    ("sequential_seconds", Json::F(seq.as_secs_f64())),
+                    ("sequential_seconds", Json::F(seq.duration.as_secs_f64())),
                 ];
                 if warm {
                     row.extend(
@@ -469,24 +465,28 @@ fn ablation3(
                             Counter::WarmContextKeys,
                             Counter::WarmCrossParentReuse,
                         ]
-                        .map(|c| (c.name(), Json::U(counter_per_round(&report, c, runs)))),
+                        .map(|c| (c.name(), Json::U(counter_per_round(&t.report, c, runs)))),
                     );
                 }
                 if metrics {
-                    row.push(("metrics", metrics_json(&report, runs.max(1))));
+                    row.push(("metrics", metrics_json(&t.report, runs)));
                 }
                 json_rows.push(Json::O(row));
             }
+            let [cold, warm] = timed.map(|t| t.seconds);
             cells.push(format!(
-                "{workers}w {:.2}s/{:.2}s ({:.1}→{:.1})",
-                seconds[0],
-                seconds[1],
-                1e3 * seconds[0] / p.expected_paths as f64,
-                1e3 * seconds[1] / p.expected_paths as f64,
+                "{workers}w {cold:.2}s/{warm:.2}s ({:.1}→{:.1})",
+                1e3 * cold / p.expected_paths as f64,
+                1e3 * warm / p.expected_paths as f64,
             ));
             workers *= 2;
         }
-        println!("{:<16} {:>12.1?}   {}", p.name, seq, cells.join("  "));
+        println!(
+            "{:<16} {:>12.1?}   {}",
+            p.name,
+            seq.duration,
+            cells.join("  ")
+        );
     }
 }
 
@@ -526,7 +526,7 @@ fn assert_warm_prefix_reuse(rows: &[Json], benchmark: &str) {
 /// checks, never change results, which the run asserts via the path count
 /// and the check-accounting identity.
 fn ablation5(
-    progs: &[binsym_bench::Program],
+    progs: &[Program],
     workers: usize,
     runs: usize,
     metrics: bool,
@@ -540,80 +540,52 @@ fn ablation5(
         "{:<16} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "Benchmark", "gate off", "gate on", "unsat flips", "eliminated", "facts"
     );
-    for &p in progs {
-        let elf = p.build();
-        let mut seconds = [0.0f64; 2];
-        let mut checks = [0u64; 2];
-        // One registry per side, accumulating across all rounds (the
-        // gate's win shows up as solve seconds moving into gate seconds).
-        let registries: [Arc<MetricsRegistry>; 2] =
-            std::array::from_fn(|_| Arc::new(MetricsRegistry::new(workers)));
-        // Interleave the off/on rounds so slow machine drift hits both
-        // sides equally.
-        for _ in 0..runs.max(1) {
-            for (slot, analysis) in [false, true].into_iter().enumerate() {
-                let mut builder = Session::builder(Spec::rv32im())
-                    .binary(&elf)
-                    .workers(workers)
-                    .static_analysis(analysis)
-                    .metrics(Arc::clone(&registries[slot]));
-                if let Some(sink) = trace {
-                    builder = builder.trace(Arc::clone(sink));
-                }
-                let mut par = builder.build_parallel().expect("builds");
-                let start = Instant::now();
-                let s = par.run_all().expect("explores");
-                assert_eq!(s.paths, p.expected_paths, "the gate must not change paths");
-                seconds[slot] += start.elapsed().as_secs_f64();
-                checks[slot] += s.solver_checks;
-            }
-        }
-        let runs = runs.max(1);
-        for slot in &mut seconds {
-            *slot /= runs as f64;
-        }
-        let reports = registries.map(|r| r.report());
-        let count = |slot: usize, c: Counter| counter_per_round(&reports[slot], c, runs);
-        let checks = [checks[0] / runs as u64, checks[1] / runs as u64];
-        let eliminated = count(1, Counter::GateEliminated);
+    for p in progs {
+        // The gate's win shows up as solve seconds moving into gate seconds.
+        let timed: [Timed; 2] = timed_variants(p, workers, runs, trace, |slot, b| {
+            b.static_analysis(slot == 1)
+        });
+        let count = |t: &Timed, c: Counter| counter_per_round(&t.report, c, runs);
+        let [off, on] = &timed;
+        let eliminated = count(on, Counter::GateEliminated);
         // Every screened-out query must be accounted for one-to-one in
         // the solver-check delta.
         assert_eq!(
-            checks[0],
-            checks[1] + eliminated,
+            off.solver_checks,
+            on.solver_checks + eliminated,
             "{}: eliminated queries must explain the full check delta",
             p.name
         );
         println!(
             "{:<16} {:>9.2}s {:>9.2}s {:>12} {:>12} {:>10}",
             p.name,
-            seconds[0],
-            seconds[1],
-            count(0, Counter::UnsatQueries),
+            off.seconds,
+            on.seconds,
+            count(off, Counter::UnsatQueries),
             eliminated,
-            count(1, Counter::GateFacts)
+            count(on, Counter::GateFacts)
         );
-        for (slot, analysis) in [false, true].into_iter().enumerate() {
+        for (t, analysis) in timed.iter().zip([false, true]) {
             let mut row = vec![
                 ("ablation", Json::s("static-analysis")),
                 ("benchmark", Json::s(p.name)),
                 ("workers", Json::U(workers as u64)),
                 ("static_analysis", Json::B(analysis)),
                 ("runs", Json::U(runs as u64)),
-                ("seconds", Json::F(seconds[slot])),
-                ("solver_checks", Json::U(checks[slot])),
-                ("queries", Json::U(count(slot, Counter::Queries))),
-                ("unsat_queries", Json::U(count(slot, Counter::UnsatQueries))),
+                ("seconds", Json::F(t.seconds)),
+                ("solver_checks", Json::U(t.solver_checks)),
+                ("queries", Json::U(count(t, Counter::Queries))),
+                ("unsat_queries", Json::U(count(t, Counter::UnsatQueries))),
             ];
             if analysis {
                 row.extend([
-                    ("sa_queries", Json::U(count(slot, Counter::GateScreened))),
+                    ("sa_queries", Json::U(count(t, Counter::GateScreened))),
                     ("sa_queries_eliminated", Json::U(eliminated)),
-                    ("sa_facts", Json::U(count(slot, Counter::GateFacts))),
+                    ("sa_facts", Json::U(count(t, Counter::GateFacts))),
                 ]);
             }
             if metrics {
-                row.push(("metrics", metrics_json(&reports[slot], runs)));
+                row.push(("metrics", metrics_json(&t.report, runs)));
             }
             json_rows.push(Json::O(row));
         }
@@ -628,11 +600,16 @@ fn ablation5(
 /// result drift, so the delta is pure wall time; the path count is still
 /// asserted each round, and the every-1 write count must come out exact
 /// (`paths + 1`: one per committed path plus the drain write).
+///
+/// The files land at `BASE.<every>.<benchmark>.ck` next to the
+/// `--checkpoint` base when one was given (and are kept for inspection),
+/// or next to a per-process temp base otherwise (and are removed).
 fn ablation6(
-    progs: &[binsym_bench::Program],
+    progs: &[Program],
     workers: usize,
     runs: usize,
     checkpoint_base: Option<&Path>,
+    trace: Option<&Arc<dyn TraceSink>>,
     json_rows: &mut Vec<Json>,
 ) {
     const EVERY: [u64; 3] = [0, 16, 1];
@@ -641,47 +618,22 @@ fn ablation6(
         "{:<16} {:>10} {:>10} {:>10} {:>12}",
         "Benchmark", "off", "every 16", "every 1", "writes(ev.1)"
     );
-    for &p in progs {
-        let elf = p.build();
-        let mut seconds = [0.0f64; 3];
-        let registries: [Arc<MetricsRegistry>; 3] =
-            std::array::from_fn(|_| Arc::new(MetricsRegistry::new(workers)));
-        // Interleave the intervals so slow machine drift hits every column
-        // equally, like the other timed ablations.
-        for _ in 0..runs.max(1) {
-            for (slot, every) in EVERY.into_iter().enumerate() {
-                let mut builder = Session::builder(Spec::rv32im())
-                    .binary(&elf)
-                    .workers(workers)
-                    .metrics(Arc::clone(&registries[slot]));
-                let mut scratch = None;
-                if every > 0 {
-                    let path = ablation6_target(checkpoint_base, every, p.name, &mut scratch);
-                    builder = builder.checkpoint(path, every);
-                }
-                let mut par = builder.build_parallel().expect("builds");
-                let start = Instant::now();
-                let s = par.run_all().expect("explores");
-                assert_eq!(
-                    s.paths, p.expected_paths,
-                    "checkpointing must not change paths"
-                );
-                seconds[slot] += start.elapsed().as_secs_f64();
-                if let Some(path) = scratch {
-                    let _ = std::fs::remove_file(path);
-                }
+    let scratch = std::env::temp_dir().join(format!("binsym-ablation6-{}", std::process::id()));
+    let base = checkpoint_base.unwrap_or(&scratch);
+    for p in progs {
+        let target = |every: u64| suffixed(base, &format!(".{every}.{}.ck", p.name));
+        let timed: [Timed; 3] =
+            timed_variants(p, workers, runs, trace, |slot, b| match EVERY[slot] {
+                0 => b,
+                every => b.checkpoint(target(every), every),
+            });
+        if checkpoint_base.is_none() {
+            for every in &EVERY[1..] {
+                let _ = std::fs::remove_file(target(*every));
             }
         }
-        let runs = runs.max(1);
-        for slot in &mut seconds {
-            *slot /= runs as f64;
-        }
         let written: [u64; 3] = std::array::from_fn(|slot| {
-            counter_per_round(
-                &registries[slot].report(),
-                Counter::CheckpointsWritten,
-                runs,
-            )
+            counter_per_round(&timed[slot].report, Counter::CheckpointsWritten, runs)
         });
         assert_eq!(
             written[2],
@@ -691,22 +643,22 @@ fn ablation6(
         );
         println!(
             "{:<16} {:>9.2}s {:>9.2}s {:>9.2}s {:>12}",
-            p.name, seconds[0], seconds[1], seconds[2], written[2]
+            p.name, timed[0].seconds, timed[1].seconds, timed[2].seconds, written[2]
         );
-        for (slot, every) in EVERY.into_iter().enumerate() {
+        for ((t, every), written) in timed.iter().zip(EVERY).zip(written) {
             json_rows.push(Json::O(vec![
                 ("ablation", Json::s("checkpoint-overhead")),
                 ("benchmark", Json::s(p.name)),
                 ("workers", Json::U(workers as u64)),
                 ("checkpoint_every", Json::U(every)),
                 ("runs", Json::U(runs as u64)),
-                ("seconds", Json::F(seconds[slot])),
+                ("seconds", Json::F(t.seconds)),
                 (
                     "seconds_per_path",
-                    Json::F(seconds[slot] / p.expected_paths as f64),
+                    Json::F(t.seconds / p.expected_paths as f64),
                 ),
                 ("paths", Json::U(p.expected_paths)),
-                ("checkpoints_written", Json::U(written[slot])),
+                ("checkpoints_written", Json::U(written)),
             ]));
         }
     }
@@ -722,7 +674,7 @@ fn ablation6(
 /// below full coverage, `symbolic:64` reaches every tracked instruction
 /// in exactly [`TABLE_LOOKUP_SYMBOLIC_PATHS`] paths — and stamps the
 /// symbolic row with `sym_fewer_paths_to_full: true` once it holds.
-fn ablation7(progs: &[binsym_bench::Program], json_rows: &mut Vec<Json>) {
+fn ablation7(progs: &[Program], json_rows: &mut Vec<Json>) {
     const POLICIES: [(&str, AddressPolicyKind, u64); 3] = [
         ("eq", AddressPolicyKind::ConcretizeEq, 0),
         ("min", AddressPolicyKind::ConcretizeMin, 0),
@@ -803,32 +755,6 @@ fn ablation7(progs: &[binsym_bench::Program], json_rows: &mut Vec<Json>) {
                 row.push(("sym_fewer_paths_to_full", Json::B(true)));
             }
             json_rows.push(Json::O(row));
-        }
-    }
-}
-
-/// Picks the checkpoint file for one ablation-6 run: suffixed next to the
-/// `--checkpoint` base when one was given (and kept for inspection), or a
-/// per-process temp file remembered in `scratch` for cleanup otherwise.
-fn ablation6_target(
-    base: Option<&Path>,
-    every: u64,
-    benchmark: &str,
-    scratch: &mut Option<PathBuf>,
-) -> PathBuf {
-    match base {
-        Some(base) => {
-            let mut name = base.as_os_str().to_os_string();
-            name.push(format!(".{every}.{benchmark}.ck"));
-            PathBuf::from(name)
-        }
-        None => {
-            let path = std::env::temp_dir().join(format!(
-                "binsym-ablation6-{}-{benchmark}-{every}.ck",
-                std::process::id()
-            ));
-            *scratch = Some(path.clone());
-            path
         }
     }
 }

@@ -26,6 +26,9 @@
 //! `--trace PATH` records the whole campaign into one Chrome trace-event
 //! file for `ui.perfetto.dev`. Both are wall-time-only.
 //!
+//! Fig. 6 is defined under the paper's §III-B `eq` concretization, so a
+//! non-default `--memory-policy` exits with status 2 before any run.
+//!
 //! `--checkpoint PATH` / `--checkpoint-every N` / `--resume PATH` persist
 //! and restore each (engine, benchmark) run's sharded frontier exactly as
 //! in `table1` (suffixed per run, parallel-only). With `--runs N` every
@@ -34,12 +37,12 @@
 //! the checkpoint-overhead question belongs to the ablation bin's
 //! dedicated harness, not here.
 
-use std::sync::Arc;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use binsym::{ChromeTraceSink, MetricsReport, TraceSink};
-use binsym_bench::cli::{metrics_json, write_json, BenchOpts, Json};
-use binsym_bench::{all_programs, run_engine_resumable, Engine, SearchStrategy};
+use binsym::{AddressPolicyKind, MetricsReport};
+use binsym_bench::cli::{metrics_json, usage_error, write_json, BenchOpts, CampaignTrace, Json};
+use binsym_bench::{all_programs, run, Engine, SearchStrategy};
 
 fn mean(durations: &[Duration]) -> Duration {
     let total: Duration = durations.iter().sum();
@@ -61,25 +64,26 @@ fn stddev_pct(durations: &[Duration], m: Duration) -> f64 {
 
 fn main() {
     let opts = BenchOpts::from_env();
-    let workers = opts.workers_or_sequential();
-    if workers == 0 && opts.wants_persistence() {
-        eprintln!("--checkpoint/--resume persist the sharded frontier: add --workers N");
-        std::process::exit(2);
+    // The Fig. 6 reproduction is defined under the paper's §III-B
+    // concretization; the rows' pinned path counts assume it, so the
+    // policy is not a knob here.
+    if opts.memory_policy != AddressPolicyKind::default() {
+        usage_error("fig6 is defined under --memory-policy eq (the paper's §III-B pin)");
     }
-    let strategy = SearchStrategy::from_opts(&opts);
-    let runs: usize = opts.runs.unwrap_or(if opts.quick { 1 } else { 5 });
-    let sink = opts
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(ChromeTraceSink::new()));
-    let trace = sink.as_ref().map(|s| Arc::clone(s) as Arc<dyn TraceSink>);
+    let trace = CampaignTrace::new(&opts);
+    let cfg = opts
+        .run_config(trace.sink())
+        .unwrap_or_else(|e| usage_error(&e));
+    let runs = opts
+        .runs
+        .map_or(if opts.quick { 1 } else { 5 }, NonZeroUsize::get);
 
     println!("FIG. 6 — Total execution time (arithmetic mean over {runs} run(s))");
-    if workers > 0 {
-        println!("(sharded exploration: {workers} workers per engine)");
+    if cfg.workers > 0 {
+        println!("(sharded exploration: {} workers per engine)", cfg.workers);
     }
-    if strategy != SearchStrategy::Dfs {
-        println!("(path-selection strategy: {})", strategy.name());
+    if cfg.strategy != SearchStrategy::Dfs {
+        println!("(path-selection strategy: {})", cfg.strategy.name());
     }
     println!("expected ordering per row: BINSEC < BinSym < SymEx-VP << angr\n");
     println!(
@@ -96,24 +100,12 @@ fn main() {
         let elf = p.build();
         let mut means = Vec::new();
         for engine in Engine::FIG6 {
+            let cfg = cfg.for_run(engine.name(), p.name);
             let mut samples = Vec::with_capacity(runs);
             let mut covered = None;
             let mut merged = MetricsReport::empty();
             for _ in 0..runs {
-                let r = run_engine_resumable(
-                    engine,
-                    &elf,
-                    workers,
-                    strategy,
-                    opts.metrics,
-                    trace.as_ref(),
-                    &opts.persist_spec(engine.name(), p.name),
-                    // The Fig. 6 reproduction is defined under the paper's
-                    // §III-B concretization; the row's pinned path counts
-                    // assume it, so the policy is not a knob here.
-                    binsym::AddressPolicyKind::default(),
-                )
-                .unwrap_or_else(|e| {
+                let r = run(engine, &elf, &cfg).unwrap_or_else(|e| {
                     panic!("{} on {}: {e}", engine.name(), p.name);
                 });
                 assert_eq!(
@@ -134,7 +126,7 @@ fn main() {
             let mut row = vec![
                 ("benchmark", Json::s(p.name)),
                 ("engine", Json::s(engine.name())),
-                ("strategy", Json::s(strategy.name())),
+                ("strategy", Json::s(cfg.strategy.name())),
                 ("paths", Json::U(p.expected_paths)),
                 ("mean_seconds", Json::F(m.as_secs_f64())),
                 ("stddev_pct", Json::F(stddev_pct(&samples, m))),
@@ -171,8 +163,8 @@ fn main() {
     if let Some(path) = &opts.json {
         let doc = Json::O(vec![
             ("bin", Json::s("fig6")),
-            ("workers", Json::U(workers as u64)),
-            ("strategy", Json::s(strategy.name())),
+            ("workers", Json::U(cfg.workers as u64)),
+            ("strategy", Json::s(cfg.strategy.name())),
             ("runs", Json::U(runs as u64)),
             ("quick", Json::B(opts.quick)),
             ("max_stddev_pct", Json::F(max_dev)),
@@ -180,15 +172,7 @@ fn main() {
         ]);
         write_json(path, &doc);
     }
-    if let (Some(path), Some(sink)) = (&opts.trace, &sink) {
-        sink.write_to(path)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-        println!(
-            "trace: {} events written to {} (open in ui.perfetto.dev)",
-            sink.len(),
-            path.display()
-        );
-    }
+    trace.finish();
 }
 
 fn format_duration(d: Duration) -> String {

@@ -41,25 +41,26 @@
 //! which is what the CI smoke needs to kill a run mid-hunt and resume
 //! from the very file it watched appear.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
 use binsym::persist::section;
 use binsym::{
-    decode_one, decode_seq, encode_one, encode_seq, AddressPolicyKind, CoverageGuided, CoverageMap,
-    CoverageObserver, Document, JsonlTraceSink, MetricsRegistry, MetricsReport, PathRecord,
-    Prescription, Session, SessionBuilder, Summary, TraceSink,
+    decode_one, decode_seq, encode_one, encode_seq, AddressPolicyKind, Document, JsonlTraceSink,
+    MetricsReport, PathRecord, Prescription, Summary, TraceSink,
 };
-use binsym_bench::cli::{write_json, BenchOpts, Json};
-use binsym_bench::engines::memory_policy_from_opts;
-use binsym_bench::{programs, TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
+use binsym_bench::cli::{usage_error, write_json, Args, BenchOpts, Json};
+use binsym_bench::engines::suffixed;
+use binsym_bench::{
+    programs, wire, Engine, RunConfig, SearchStrategy, Wiring, TABLE_LOOKUP,
+    TABLE_LOOKUP_SYMBOLIC_PATHS,
+};
 use binsym_elf::ElfFile;
-use binsym_isa::Spec;
 
-/// Flags specific to this bin, layered over the shared [`BenchOpts`]
-/// (which ignores unknown arguments by design).
+/// Flags specific to this bin, read with the same rules as the shared
+/// [`BenchOpts`] (which ignores unknown arguments by design).
 struct ShardArgs {
     benchmark: String,
     procs: usize,
@@ -74,37 +75,23 @@ struct ShardArgs {
 
 impl ShardArgs {
     fn from_env() -> ShardArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let value_of = |flag: &str| -> Option<&String> {
-            args.iter()
-                .position(|a| a == flag)
-                .map(|i| match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => v,
-                    _ => {
-                        eprintln!("{flag} needs a value");
-                        std::process::exit(2);
-                    }
-                })
-        };
-        let benchmark = value_of("--benchmark").cloned().unwrap_or_else(|| {
-            eprintln!("--benchmark NAME is required (one of the Table I programs)");
-            std::process::exit(2);
-        });
+        let args = Args::from_env();
+        let path = |flag: &str| args.value(flag).map(PathBuf::from);
         ShardArgs {
-            benchmark,
-            procs: value_of("--procs")
-                .map(|s| {
-                    s.parse()
-                        .unwrap_or_else(|_| panic!("invalid --procs: {s:?}"))
-                })
-                .unwrap_or(2),
-            child: args.iter().any(|a| a == "--child"),
-            hunt: args.iter().any(|a| a == "--hunt"),
-            bag: value_of("--bag").map(PathBuf::from),
-            out: value_of("--out").map(PathBuf::from),
-            records: value_of("--records").map(PathBuf::from),
-            dir: value_of("--dir").map(PathBuf::from),
-            verify: args.iter().any(|a| a == "--verify"),
+            benchmark: args
+                .value("--benchmark")
+                .map(String::from)
+                .unwrap_or_else(|| {
+                    usage_error("--benchmark NAME is required (one of the Table I programs)")
+                }),
+            procs: args.count("--procs").unwrap_or(2),
+            child: args.has("--child"),
+            hunt: args.has("--hunt"),
+            bag: path("--bag"),
+            out: path("--out"),
+            records: path("--records"),
+            dir: path("--dir"),
+            verify: args.has("--verify"),
         }
     }
 }
@@ -125,26 +112,30 @@ fn main() {
 /// the prefix-keyed warm cache, coverage-guided scheduling over a shared
 /// map, and the word-level static gate — all on. Determinism must survive
 /// the full stack, so the drivers exercise nothing less.
-fn hunt_builder(elf: &ElfFile, workers: usize, policy: AddressPolicyKind) -> SessionBuilder {
-    let map = CoverageMap::shared_for(elf);
-    let policy_map = Arc::clone(&map);
-    let observer_map = Arc::clone(&map);
-    Session::builder(Spec::rv32im())
-        .binary(elf)
-        .workers(workers)
-        .warm_start(true)
-        .static_analysis(true)
-        .address_policy(policy)
-        .shard_strategy(move |_| {
-            Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
-        })
-        .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&observer_map))))
+fn hunt_config(opts: &BenchOpts) -> RunConfig {
+    RunConfig {
+        workers: opts.workers.unwrap_or(2),
+        strategy: SearchStrategy::Coverage,
+        policy: opts.memory_policy,
+        ..RunConfig::default()
+    }
+}
+
+/// Wires the raw engine under `cfg` with the warm cache and the static gate
+/// on (see [`hunt_config`]).
+fn hunt(elf: &ElfFile, cfg: &RunConfig) -> Wiring {
+    let wiring = wire(Engine::Raw, elf, cfg);
+    Wiring {
+        builder: wiring.builder.warm_start(true).static_analysis(true),
+        ..wiring
+    }
 }
 
 fn program(name: &str) -> programs::Program {
     programs::by_name(name).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {name:?} (expected a Table I program name)");
-        std::process::exit(2);
+        usage_error(&format!(
+            "unknown benchmark {name:?} (expected a Table I program name)"
+        ))
     })
 }
 
@@ -192,25 +183,18 @@ fn summarize(records: &[PathRecord], solver_checks: u64) -> Summary {
     summary
 }
 
-/// `PATH.<suffix>` without disturbing `PATH`'s own extension.
-fn suffixed(base: &Path, suffix: &str) -> PathBuf {
-    let mut name = base.as_os_str().to_os_string();
-    name.push(suffix);
-    PathBuf::from(name)
-}
-
 fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
     let p = program(&args.benchmark);
     let elf = p.build();
-    let workers = opts.workers.unwrap_or(2).max(1);
+    let cfg = hunt_config(opts);
     let procs = args.procs.max(1);
-    let policy = memory_policy_from_opts(opts);
     let started = Instant::now();
 
     // Materialize the root once and partition its children: contiguous
     // chunks of the id-sorted level-1 prescriptions, so each child's
     // record stream is one contiguous interval of the canonical order.
-    let parent = hunt_builder(&elf, workers, policy)
+    let parent = hunt(&elf, &cfg)
+        .builder
         .build_parallel()
         .expect("parent session builds");
     let (root_record, mut level1) = parent.expand_root().expect("root replays");
@@ -239,7 +223,7 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
         p.name,
         chunks.iter().map(Vec::len).sum::<usize>(),
         chunks.len(),
-        workers
+        cfg.workers
     );
     let mut children = Vec::new();
     for (i, chunk) in chunks.iter().enumerate() {
@@ -259,12 +243,11 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
             .arg("--out")
             .arg(&out_path)
             .arg("--workers")
-            .arg(workers.to_string());
+            .arg(cfg.workers.to_string())
+            .arg("--memory-policy")
+            .arg(cfg.policy.to_string());
         if opts.metrics {
             cmd.arg("--metrics");
-        }
-        if let Some(mp) = &opts.memory_policy {
-            cmd.arg("--memory-policy").arg(mp);
         }
         let trace_path = opts.trace.as_ref().map(|t| suffixed(t, &format!(".p{i}")));
         if let Some(tp) = &trace_path {
@@ -309,7 +292,7 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
     let summary = summarize(&records, solver_checks);
     assert_eq!(
         summary.paths,
-        expected_paths(&p, policy),
+        expected_paths(&p, cfg.policy),
         "sharding must not change the path count"
     );
     if let Some(trace) = &opts.trace {
@@ -329,7 +312,8 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
     );
 
     if args.verify {
-        let mut reference = hunt_builder(&elf, workers, policy)
+        let mut reference = hunt(&elf, &cfg)
+            .builder
             .build_parallel()
             .expect("reference session builds");
         let ref_summary = reference.run_all().expect("reference explores");
@@ -347,7 +331,7 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
             ("bin", Json::s("shard")),
             ("benchmark", Json::s(p.name)),
             ("procs", Json::U(procs as u64)),
-            ("workers", Json::U(workers as u64)),
+            ("workers", Json::U(cfg.workers as u64)),
             ("paths", Json::U(summary.paths)),
             ("solver_checks", Json::U(summary.solver_checks)),
             ("error_paths", Json::U(summary.error_paths.len() as u64)),
@@ -365,49 +349,47 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
 }
 
 fn run_child(args: &ShardArgs, opts: &BenchOpts) {
-    let bag_path = args.bag.as_ref().unwrap_or_else(|| {
-        eprintln!("--child needs --bag FILE");
-        std::process::exit(2);
-    });
-    let out_path = args.out.as_ref().unwrap_or_else(|| {
-        eprintln!("--child needs --out FILE");
-        std::process::exit(2);
-    });
+    let bag_path = args
+        .bag
+        .as_ref()
+        .unwrap_or_else(|| usage_error("--child needs --bag FILE"));
+    let out_path = args
+        .out
+        .as_ref()
+        .unwrap_or_else(|| usage_error("--child needs --out FILE"));
     let doc = Document::read(bag_path)
         .unwrap_or_else(|e| panic!("reading bag {}: {e}", bag_path.display()));
     let meta: String =
         decode_one(doc.require(section::META).expect("bag meta")).expect("meta decodes");
     if meta != args.benchmark {
-        eprintln!("bag was cut for {meta:?}, not {:?}", args.benchmark);
-        std::process::exit(2);
+        usage_error(&format!(
+            "bag was cut for {meta:?}, not {:?}",
+            args.benchmark
+        ));
     }
     let bag: Vec<Prescription> =
         decode_seq(doc.require(section::BAG).expect("bag section")).expect("bag decodes");
     let p = program(&args.benchmark);
     let elf = p.build();
-    let workers = opts.workers.unwrap_or(2).max(1);
-
     let sink = opts
         .trace
         .as_ref()
         .map(|path| Arc::new(JsonlTraceSink::to_file(path).expect("child trace file opens")));
-    let registry = opts
-        .metrics
-        .then(|| Arc::new(MetricsRegistry::new(workers)));
-    let mut builder = hunt_builder(&elf, workers, memory_policy_from_opts(opts));
-    if let Some(sink) = &sink {
-        builder = builder.trace(Arc::clone(sink) as Arc<dyn TraceSink>);
-    }
-    if let Some(registry) = &registry {
-        builder = builder.metrics(Arc::clone(registry));
-    }
+    let cfg = RunConfig {
+        metrics: opts.metrics,
+        trace: sink.clone().map(|s| s as Arc<dyn TraceSink>),
+        ..hunt_config(opts)
+    };
+    let Wiring {
+        builder, metrics, ..
+    } = hunt(&elf, &cfg);
     let mut session = builder.build_parallel().expect("child session builds");
     let summary = session.run_bag(bag).expect("child drains its bag");
 
     let mut out = Document::new();
     out.push(section::RECORDS, encode_seq(session.records()));
     out.push(section::SUMMARY, encode_one(&summary));
-    if let Some(registry) = &registry {
+    if let Some(registry) = &metrics {
         out.push(section::METRICS, encode_one(&registry.report()));
     }
     if let Some(sink) = &sink {
@@ -420,21 +402,18 @@ fn run_child(args: &ShardArgs, opts: &BenchOpts) {
 fn run_hunt(args: &ShardArgs, opts: &BenchOpts) {
     let p = program(&args.benchmark);
     let elf = p.build();
-    let workers = opts.workers.unwrap_or(2).max(1);
-    let policy = memory_policy_from_opts(opts);
+    let cfg = RunConfig {
+        checkpoint: opts.checkpoint.clone(),
+        resume: opts.resume.clone(),
+        ..hunt_config(opts)
+    };
     let started = Instant::now();
-    let mut builder = hunt_builder(&elf, workers, policy);
-    if let Some(path) = &opts.checkpoint {
-        builder = builder.checkpoint(path, opts.checkpoint_interval());
-    }
-    if let Some(path) = &opts.resume {
-        builder = builder.resume(path);
-    }
+    let builder = hunt(&elf, &cfg).builder;
     let mut session = builder.build_parallel().expect("hunt session builds");
     let summary = session.run_all().expect("hunt explores");
     assert_eq!(
         summary.paths,
-        expected_paths(&p, policy),
+        expected_paths(&p, cfg.policy),
         "checkpointing/resuming must not change the path count"
     );
     if let Some(path) = &args.records {

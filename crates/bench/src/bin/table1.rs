@@ -37,39 +37,30 @@
 //! one. With `--metrics`, each row's `metrics.counters` object reports the
 //! run's `checkpoints_written` and `resumes`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use binsym::{ChromeTraceSink, TraceSink};
-use binsym_bench::cli::{metrics_json, summary_json, write_json, BenchOpts, Json};
-use binsym_bench::engines::memory_policy_from_opts;
-use binsym_bench::{all_programs, run_engine_resumable, Engine, SearchStrategy};
+use binsym_bench::cli::{
+    metrics_json, summary_json, usage_error, write_json, BenchOpts, CampaignTrace, Json,
+};
+use binsym_bench::{all_programs, run, Engine, SearchStrategy};
 
 fn main() {
     let opts = BenchOpts::from_env();
-    let workers = opts.workers_or_sequential();
-    if workers == 0 && opts.wants_persistence() {
-        eprintln!("--checkpoint/--resume persist the sharded frontier: add --workers N");
-        std::process::exit(2);
-    }
-    let strategy = SearchStrategy::from_opts(&opts);
-    let policy = memory_policy_from_opts(&opts);
     // One sink for the whole campaign: every engine × benchmark run lands
     // in a single Perfetto-openable file, timestamps from one epoch.
-    let sink = opts
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(ChromeTraceSink::new()));
-    let trace = sink.as_ref().map(|s| Arc::clone(s) as Arc<dyn TraceSink>);
+    let trace = CampaignTrace::new(&opts);
+    let cfg = opts
+        .run_config(trace.sink())
+        .unwrap_or_else(|e| usage_error(&e));
     println!("TABLE I — Amount of execution paths found by different SE engines");
-    if workers > 0 {
-        println!("(sharded exploration: {workers} workers per engine)");
+    if cfg.workers > 0 {
+        println!("(sharded exploration: {} workers per engine)", cfg.workers);
     }
-    if strategy != SearchStrategy::Dfs {
-        println!("(path-selection strategy: {})", strategy.name());
+    if cfg.strategy != SearchStrategy::Dfs {
+        println!("(path-selection strategy: {})", cfg.strategy.name());
     }
-    if policy != binsym::AddressPolicyKind::default() {
-        println!("(memory policy: {policy})");
+    if cfg.policy != binsym::AddressPolicyKind::default() {
+        println!("(memory policy: {})", cfg.policy);
     }
     println!("(† marks rows where an engine misses paths)\n");
     println!(
@@ -87,17 +78,7 @@ fn main() {
         let mut cells = Vec::new();
         let mut reference: Option<u64> = None;
         for engine in Engine::TABLE1 {
-            let r = run_engine_resumable(
-                engine,
-                &elf,
-                workers,
-                strategy,
-                opts.metrics,
-                trace.as_ref(),
-                &opts.persist_spec(engine.name(), p.name),
-                policy,
-            )
-            .unwrap_or_else(|e| {
+            let r = run(engine, &elf, &cfg.for_run(engine.name(), p.name)).unwrap_or_else(|e| {
                 panic!("{} on {}: {e}", engine.name(), p.name);
             });
             let paths = r.summary.paths;
@@ -110,7 +91,7 @@ fn main() {
             let mut row = vec![
                 ("benchmark", Json::s(p.name)),
                 ("engine", Json::s(engine.name())),
-                ("strategy", Json::s(strategy.name())),
+                ("strategy", Json::s(cfg.strategy.name())),
                 (
                     "summary",
                     summary_json(&r.summary, r.duration.as_secs_f64()),
@@ -147,21 +128,13 @@ fn main() {
     if let Some(path) = &opts.json {
         let doc = Json::O(vec![
             ("bin", Json::s("table1")),
-            ("workers", Json::U(workers as u64)),
-            ("strategy", Json::s(strategy.name())),
-            ("memory_policy", Json::s(policy.to_string())),
+            ("workers", Json::U(cfg.workers as u64)),
+            ("strategy", Json::s(cfg.strategy.name())),
+            ("memory_policy", Json::s(cfg.policy.to_string())),
             ("quick", Json::B(opts.quick)),
             ("rows", Json::A(json_rows)),
         ]);
         write_json(path, &doc);
     }
-    if let (Some(path), Some(sink)) = (&opts.trace, &sink) {
-        sink.write_to(path)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-        println!(
-            "trace: {} events written to {} (open in ui.perfetto.dev)",
-            sink.len(),
-            path.display()
-        );
-    }
+    trace.finish();
 }

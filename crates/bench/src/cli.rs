@@ -1,25 +1,92 @@
-//! Shared command-line plumbing for the bench bins: `--workers` /
-//! `BINSYM_WORKERS` resolution, `--strategy` parsing, and a
-//! dependency-free JSON writer for the machine-readable summaries tracked
-//! in `BENCH_*.json`.
+//! Shared command-line plumbing for the bench bins: one flag reader
+//! ([`Args`]), the typed [`BenchOpts`] every bin parses once and turns
+//! into a [`RunConfig`], the campaign trace sink, and a dependency-free
+//! JSON writer for the machine-readable summaries tracked in
+//! `BENCH_*.json`.
 
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// Options common to the bench bins.
+use binsym::{AddressPolicyKind, ChromeTraceSink, TraceSink};
+
+use crate::engines::{parse_memory_policy, RunConfig, SearchStrategy};
+
+/// Command-line arguments under the bins' shared flag rules: a flag's
+/// value is the next argument, which must exist and must not itself be a
+/// `--flag`. Unknown arguments are ignored so bins can layer their own
+/// flags over [`BenchOpts`].
+#[derive(Debug, Clone)]
+pub struct Args(Vec<String>);
+
+impl Args {
+    /// The process arguments, without the program name.
+    pub fn from_env() -> Args {
+        Args(std::env::args().skip(1).collect())
+    }
+
+    /// True when the switch `flag` is present.
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|a| a == flag)
+    }
+
+    /// The value of `flag`, when given.
+    ///
+    /// # Panics
+    /// Panics when the value slot is missing or holds another flag:
+    /// `--workers --quick` used to silently consume `--quick` as the worker
+    /// count and then panic with a misleading "invalid value" message; this
+    /// fails with the real problem.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let i = self.0.iter().position(|a| a == flag)?;
+        match self.0.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Some(v),
+            Some(v) => panic!("{flag} needs a value (found flag {v:?} instead)"),
+            None => panic!("{flag} needs a value"),
+        }
+    }
+
+    /// The value of `flag` run through `parse`; `hint` lists the accepted
+    /// spellings in the failure message.
+    ///
+    /// # Panics
+    /// Panics with `invalid value for FLAG` when `parse` rejects the value:
+    /// silently falling back to a default would record a wrong datapoint in
+    /// `BENCH_*.json`.
+    pub fn parsed<T>(
+        &self,
+        flag: &str,
+        hint: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        self.value(flag).map(|raw| checked(flag, raw, hint, parse))
+    }
+
+    /// The value of `flag` as a count (see [`Args::parsed`]).
+    pub fn count(&self, flag: &str) -> Option<usize> {
+        self.parsed(flag, "", |s| s.parse().ok())
+    }
+}
+
+fn checked<T>(what: &str, raw: &str, hint: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
+    parse(raw).unwrap_or_else(|| panic!("invalid value for {what}: {raw:?}{hint}"))
+}
+
+/// Options common to the bench bins, validated and typed at parse time: a
+/// malformed value fails [`BenchOpts::from_env`] before any run starts.
 #[derive(Debug, Clone, Default)]
 pub struct BenchOpts {
     /// Worker threads for parallel sessions: `--workers N`, falling back
-    /// to the `BINSYM_WORKERS` environment variable. `None`/0 means
+    /// to the `BINSYM_WORKERS` environment variable. `None` (or 0) means
     /// sequential.
     pub workers: Option<usize>,
     /// Path-selection strategy (`--strategy dfs|bfs|coverage`, default
-    /// dfs); parsed into a [`crate::SearchStrategy`] by the engines layer.
-    pub strategy: Option<String>,
+    /// dfs).
+    pub strategy: SearchStrategy,
     /// Address-concretization policy of the symbolic-memory layer
-    /// (`--memory-policy eq|min|symbolic:N`, default eq); parsed into a
-    /// [`binsym::AddressPolicyKind`] by [`crate::engines::memory_policy_from_opts`].
-    pub memory_policy: Option<String>,
+    /// (`--memory-policy eq|min|symbolic:N`, default eq).
+    pub memory_policy: AddressPolicyKind,
     /// Where to write the machine-readable JSON summary (`--json PATH`).
     pub json: Option<PathBuf>,
     /// Skip the heavy benchmark rows (`--quick`).
@@ -27,21 +94,19 @@ pub struct BenchOpts {
     /// CI-sized run: only the fast programs and datapoints (`--smoke`).
     pub smoke: bool,
     /// Repetitions for timing harnesses (`--runs N`).
-    pub runs: Option<usize>,
+    pub runs: Option<NonZeroUsize>,
     /// Where to write a Chrome-trace-event file of the run
     /// (`--trace PATH`), openable in `ui.perfetto.dev`.
     pub trace: Option<PathBuf>,
     /// Collect phase-timing metrics and include them in the report
     /// (`--metrics`).
     pub metrics: bool,
-    /// Base path for atomic exploration checkpoints (`--checkpoint PATH`);
-    /// the bins run many (engine × benchmark) sessions per invocation, so
-    /// each derives its own file via [`persist_target`]. Parallel runs
-    /// only (`--workers N` with N > 0).
-    pub checkpoint: Option<PathBuf>,
-    /// Merged-path interval between checkpoint writes
-    /// (`--checkpoint-every N`, default 64).
-    pub checkpoint_every: Option<u64>,
+    /// Base path for atomic exploration checkpoints (`--checkpoint PATH`)
+    /// and the merged-path interval between writes (`--checkpoint-every
+    /// N`, default 64). The bins run many (engine × benchmark) sessions per
+    /// invocation, so each derives its own file via [`RunConfig::for_run`].
+    /// Parallel runs only.
+    pub checkpoint: Option<(PathBuf, u64)>,
     /// Base path to resume explorations from (`--resume PATH`), suffixed
     /// per (engine, benchmark) exactly like `--checkpoint`.
     pub resume: Option<PathBuf>,
@@ -49,7 +114,9 @@ pub struct BenchOpts {
 
 impl BenchOpts {
     /// Parses the process arguments (and the `BINSYM_WORKERS` fallback).
-    /// Unknown arguments are ignored so bins can layer their own flags.
+    ///
+    /// # Panics
+    /// Panics on a malformed or missing flag value (see [`Args`]).
     pub fn from_env() -> BenchOpts {
         Self::parse(
             std::env::args().skip(1),
@@ -57,110 +124,116 @@ impl BenchOpts {
         )
     }
 
-    fn parse(args: impl Iterator<Item = String>, workers_env: Option<String>) -> BenchOpts {
-        let args: Vec<String> = args.collect();
-        let value_of = |flag: &str| -> Option<&String> {
-            args.iter().position(|a| a == flag).map(|i| {
-                // The value slot must exist AND not be another flag:
-                // `--workers --quick` used to silently consume `--quick`
-                // as the worker count and then panic with a misleading
-                // "invalid value" message; fail with the real problem.
-                match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => v,
-                    Some(v) => panic!("{flag} needs a value (found flag {v:?} instead)"),
-                    None => panic!("{flag} needs a value"),
-                }
-            })
-        };
-        // A malformed count must fail loudly: silently falling back to the
-        // sequential engine would record a wrong datapoint in BENCH_*.json.
-        let count = |flag: &str, raw: &str| -> usize {
-            raw.parse()
-                .unwrap_or_else(|_| panic!("invalid value for {flag}: {raw:?}"))
-        };
-        let workers = value_of("--workers")
-            .map(|s| count("--workers", s))
+    pub(crate) fn parse(
+        args: impl Iterator<Item = String>,
+        workers_env: Option<String>,
+    ) -> BenchOpts {
+        let args = Args(args.collect());
+        let workers = args
+            .count("--workers")
             .or_else(|| {
                 workers_env
                     .as_deref()
                     .filter(|s| !s.is_empty())
-                    .map(|s| count("BINSYM_WORKERS", s))
+                    .map(|s| checked("BINSYM_WORKERS", s, "", |s| s.parse().ok()))
             })
             .filter(|&w| w > 0);
+        let every = args.count("--checkpoint-every").map_or(64, |n| n as u64);
         BenchOpts {
             workers,
-            strategy: value_of("--strategy").cloned(),
-            memory_policy: value_of("--memory-policy").cloned(),
-            json: value_of("--json").map(PathBuf::from),
-            quick: args.iter().any(|a| a == "--quick"),
-            smoke: args.iter().any(|a| a == "--smoke"),
-            runs: value_of("--runs").map(|s| count("--runs", s)),
-            trace: value_of("--trace").map(PathBuf::from),
-            metrics: args.iter().any(|a| a == "--metrics"),
-            checkpoint: value_of("--checkpoint").map(PathBuf::from),
-            checkpoint_every: value_of("--checkpoint-every")
-                .map(|s| count("--checkpoint-every", s) as u64),
-            resume: value_of("--resume").map(PathBuf::from),
-        }
-    }
-
-    /// The worker count to report in summaries (0 = sequential).
-    pub fn workers_or_sequential(&self) -> usize {
-        self.workers.unwrap_or(0)
-    }
-
-    /// The checkpoint write interval (default 64 merged paths).
-    pub fn checkpoint_interval(&self) -> u64 {
-        self.checkpoint_every.unwrap_or(64)
-    }
-
-    /// Resolves `--checkpoint`/`--checkpoint-every`/`--resume` into the
-    /// per-(engine, benchmark) [`crate::engines::PersistSpec`] for one run
-    /// of the campaign. Inactive (all `None`) when neither flag was given.
-    pub fn persist_spec(&self, engine: &str, benchmark: &str) -> crate::engines::PersistSpec {
-        crate::engines::PersistSpec {
-            checkpoint: self.checkpoint.as_deref().map(|base| {
-                (
-                    persist_target(base, engine, benchmark),
-                    self.checkpoint_interval(),
+            strategy: args
+                .parsed("--strategy", " (dfs|bfs|coverage)", SearchStrategy::parse)
+                .unwrap_or_default(),
+            memory_policy: args
+                .parsed(
+                    "--memory-policy",
+                    " (eq|min|symbolic:N)",
+                    parse_memory_policy,
                 )
-            }),
-            resume: self
-                .resume
-                .as_deref()
-                .map(|base| persist_target(base, engine, benchmark)),
+                .unwrap_or_default(),
+            json: args.value("--json").map(PathBuf::from),
+            quick: args.has("--quick"),
+            smoke: args.has("--smoke"),
+            runs: args.parsed("--runs", " (a positive count)", |s| s.parse().ok()),
+            trace: args.value("--trace").map(PathBuf::from),
+            metrics: args.has("--metrics"),
+            checkpoint: args
+                .value("--checkpoint")
+                .map(|base| (PathBuf::from(base), every)),
+            resume: args.value("--resume").map(PathBuf::from),
         }
     }
 
-    /// True when any persistence flag was given.
-    pub fn wants_persistence(&self) -> bool {
-        self.checkpoint.is_some() || self.resume.is_some()
+    /// The [`RunConfig`] of this invocation, carrying the campaign's trace
+    /// sink; campaigns derive each (engine, benchmark) run from it with
+    /// [`RunConfig::for_run`].
+    ///
+    /// # Errors
+    /// `--checkpoint`/`--resume` without `--workers`: they persist the
+    /// sharded frontier, which the sequential engine does not have.
+    pub fn run_config(&self, trace: Option<Arc<dyn TraceSink>>) -> Result<RunConfig, String> {
+        let workers = self.workers.unwrap_or(0);
+        if workers == 0 && (self.checkpoint.is_some() || self.resume.is_some()) {
+            return Err(
+                "--checkpoint/--resume persist the sharded frontier: add --workers N".into(),
+            );
+        }
+        Ok(RunConfig {
+            workers,
+            strategy: self.strategy,
+            policy: self.memory_policy,
+            metrics: self.metrics,
+            trace,
+            checkpoint: self.checkpoint.clone(),
+            resume: self.resume.clone(),
+        })
     }
 }
 
-/// The checkpoint file one session of a campaign uses under a `--checkpoint`
-/// (or `--resume`) base path: `BASE.<engine>.<benchmark>.ck`, with names
-/// slugged to `[a-z0-9-]` so personas like "angr (fixed)" stay
-/// filesystem-safe. Symmetric between writing and resuming, so
-/// `--checkpoint X` in one invocation pairs with `--resume X` in the next.
-pub fn persist_target(base: &Path, engine: &str, benchmark: &str) -> PathBuf {
-    let slug = |s: &str| -> String {
-        s.chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
-            .collect()
-    };
-    let mut name = base
-        .file_name()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "checkpoint".into());
-    name.push_str(&format!(".{}.{}.ck", slug(engine), slug(benchmark)));
-    base.with_file_name(name)
+/// Reports a flag combination a bin cannot run on stderr and exits with
+/// status 2, before any run starts.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// The `--trace PATH` sink of one invocation: every run of the campaign
+/// lands in a single Perfetto-openable Chrome trace file, timestamps from
+/// one epoch.
+pub struct CampaignTrace(Option<(PathBuf, Arc<ChromeTraceSink>)>);
+
+impl CampaignTrace {
+    /// A sink when `--trace` was given.
+    pub fn new(opts: &BenchOpts) -> CampaignTrace {
+        CampaignTrace(
+            opts.trace
+                .clone()
+                .map(|path| (path, Arc::new(ChromeTraceSink::new()))),
+        )
+    }
+
+    /// The sink every run of the campaign writes to.
+    pub fn sink(&self) -> Option<Arc<dyn TraceSink>> {
+        self.0
+            .as_ref()
+            .map(|(_, sink)| Arc::clone(sink) as Arc<dyn TraceSink>)
+    }
+
+    /// Writes the trace file, when `--trace` was given.
+    ///
+    /// # Panics
+    /// Panics if the file cannot be written.
+    pub fn finish(self) {
+        if let Some((path, sink)) = self.0 {
+            sink.write_to(&path)
+                .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
+            println!(
+                "trace: {} events written to {} (open in ui.perfetto.dev)",
+                sink.len(),
+                path.display()
+            );
+        }
+    }
 }
 
 /// A JSON value, built by hand — the build environment has no serde, and
@@ -635,66 +708,114 @@ pub fn validate_trace(text: &str) -> Result<TraceShape, String> {
 mod tests {
     use super::*;
 
+    fn opts(args: &[&str]) -> BenchOpts {
+        BenchOpts::parse(args.iter().map(|s| s.to_string()), None)
+    }
+
     #[test]
     fn parses_flags_and_env_fallback() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = BenchOpts::parse(
-            args(&["--workers", "4", "--json", "out.json"]).into_iter(),
-            None,
-        );
+        let o = opts(&["--workers", "4", "--json", "out.json"]);
         assert_eq!(o.workers, Some(4));
         assert_eq!(o.json.as_deref(), Some(Path::new("out.json")));
         assert!(!o.quick);
 
-        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), Some("2".into()));
+        let o = BenchOpts::parse(["--quick".to_string()].into_iter(), Some("2".into()));
         assert_eq!(o.workers, Some(2), "env fallback");
         assert!(o.quick);
 
-        let o = BenchOpts::parse(args(&["--workers", "0"]).into_iter(), None);
+        let o = opts(&["--workers", "0"]);
         assert_eq!(o.workers, None, "0 means sequential");
 
-        let o = BenchOpts::parse(args(&["--runs", "7"]).into_iter(), None);
-        assert_eq!(o.runs, Some(7));
+        let o = opts(&["--runs", "7"]);
+        assert_eq!(o.runs.map(NonZeroUsize::get), Some(7));
 
-        let o = BenchOpts::parse(args(&["--strategy", "coverage"]).into_iter(), None);
-        assert_eq!(o.strategy.as_deref(), Some("coverage"));
+        let o = opts(&["--strategy", "coverage"]);
+        assert_eq!(o.strategy, SearchStrategy::Coverage);
 
-        let o = BenchOpts::parse(args(&["--memory-policy", "symbolic:64"]).into_iter(), None);
-        assert_eq!(o.memory_policy.as_deref(), Some("symbolic:64"));
-        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), None);
-        assert_eq!(o.memory_policy, None, "policy defaults to the engine's");
+        let o = opts(&["--memory-policy", "symbolic:64"]);
+        assert_eq!(o.memory_policy, AddressPolicyKind::Symbolic { window: 64 });
+        let o = opts(&["--quick"]);
+        assert_eq!(o.strategy, SearchStrategy::Dfs, "strategy defaults to dfs");
+        assert_eq!(
+            o.memory_policy,
+            AddressPolicyKind::default(),
+            "policy defaults to the engine's"
+        );
     }
 
     #[test]
     fn persistence_flags_parse_and_suffix_per_run() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let o = BenchOpts::parse(
-            args(&["--checkpoint", "ck/base", "--checkpoint-every", "16"]).into_iter(),
-            None,
-        );
-        assert_eq!(o.checkpoint.as_deref(), Some(Path::new("ck/base")));
-        assert_eq!(o.checkpoint_interval(), 16);
-        assert!(o.wants_persistence());
-        let spec = o.persist_spec("angr (fixed)", "uri-parser");
+        let o = opts(&[
+            "--workers",
+            "2",
+            "--checkpoint",
+            "ck/base",
+            "--checkpoint-every",
+            "16",
+        ]);
+        assert_eq!(o.checkpoint, Some((PathBuf::from("ck/base"), 16)));
+        let cfg = o.run_config(None).expect("sharded run");
+        let run = cfg.for_run("angr (fixed)", "uri-parser");
         assert_eq!(
-            spec.checkpoint,
+            run.checkpoint,
             Some((PathBuf::from("ck/base.angr--fixed-.uri-parser.ck"), 16))
         );
-        assert_eq!(spec.resume, None);
-
-        let o = BenchOpts::parse(args(&["--resume", "ck/base"]).into_iter(), None);
-        assert_eq!(o.checkpoint_interval(), 64, "default interval");
-        let spec = o.persist_spec("BinSym", "bubble-sort");
+        assert_eq!(run.resume, None);
         assert_eq!(
-            spec.resume.as_deref(),
+            cfg.checkpoint,
+            Some((PathBuf::from("ck/base"), 16)),
+            "the campaign config keeps the base path"
+        );
+
+        let o = opts(&["--workers", "2", "--resume", "ck/base"]);
+        let run = o.run_config(None).expect("sharded run");
+        let run = run.for_run("BinSym", "bubble-sort");
+        assert_eq!(
+            run.resume.as_deref(),
             Some(Path::new("ck/base.binsym.bubble-sort.ck")),
             "resume suffixes identically to checkpoint"
         );
 
-        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), None);
-        assert!(!o.wants_persistence());
-        let spec = o.persist_spec("BinSym", "bubble-sort");
-        assert!(spec.checkpoint.is_none() && spec.resume.is_none());
+        let o = opts(&["--checkpoint", "ck/base"]);
+        assert_eq!(
+            o.checkpoint.map(|(_, every)| every),
+            Some(64),
+            "default interval"
+        );
+
+        let run = opts(&["--quick"]).run_config(None).expect("plain run");
+        let run = run.for_run("BinSym", "bubble-sort");
+        assert!(run.checkpoint.is_none() && run.resume.is_none());
+    }
+
+    #[test]
+    fn persistence_without_workers_is_rejected() {
+        for flag in ["--checkpoint", "--resume"] {
+            let err = opts(&[flag, "ck/base"])
+                .run_config(None)
+                .err()
+                .expect("sequential persistence is rejected");
+            assert!(err.contains("add --workers N"), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --runs: \"0\"")]
+    fn zero_runs_fails_loudly() {
+        // Used to reach fig6's mean and divide a duration by zero.
+        let _ = opts(&["--runs", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --strategy")]
+    fn malformed_strategy_fails_loudly() {
+        let _ = opts(&["--strategy", "dfS"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --memory-policy")]
+    fn malformed_memory_policy_fails_loudly() {
+        let _ = opts(&["--memory-policy", "sym"]);
     }
 
     #[test]

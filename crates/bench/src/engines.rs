@@ -17,17 +17,23 @@
 //! [`Session`] over the formal-semantics executor — they model per-
 //! instruction cost through the `on_step` hook instead of re-implementing
 //! the path-execution loop.
+//!
+//! Every bench run takes one path: a [`RunConfig`] (the knobs the bins
+//! expose, parsed once by [`crate::BenchOpts::run_config`]) and an
+//! [`Engine`] go through [`wire`] into a [`SessionBuilder`], which [`run`]
+//! builds, explores, and reports as a [`RunResult`].
 
 use std::cell::RefCell;
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use binsym::{
     AddressPolicyKind, Bfs, Candidate, CoverageGuided, CoverageMap, CoverageObserver, Error,
-    MetricsRegistry, MetricsReport, Observer, ParallelSession, PathExecutor, Prescription, Session,
-    SessionBuilder, Summary, TraceSink,
+    MetricsRegistry, MetricsReport, Observer, PathExecutor, Prescription, Session, SessionBuilder,
+    Summary, TraceSink,
 };
 use binsym_des::{Bus, EventQueue, ProcessId, Time};
 use binsym_elf::ElfFile;
@@ -76,20 +82,6 @@ impl SearchStrategy {
             _ => None,
         }
     }
-
-    /// Resolves the strategy requested in `opts` (default: depth-first).
-    ///
-    /// # Panics
-    /// Panics on an unknown `--strategy` value — bench bins treat that as
-    /// a hard configuration error, like a malformed `--workers`.
-    pub fn from_opts(opts: &crate::cli::BenchOpts) -> SearchStrategy {
-        match &opts.strategy {
-            None => SearchStrategy::default(),
-            Some(raw) => SearchStrategy::parse(raw).unwrap_or_else(|| {
-                panic!("invalid value for --strategy: {raw:?} (dfs|bfs|coverage)")
-            }),
-        }
-    }
 }
 
 /// Parses a `--memory-policy` value — the [`AddressPolicyKind`] `Display`
@@ -105,80 +97,81 @@ pub fn parse_memory_policy(s: &str) -> Option<AddressPolicyKind> {
     }
 }
 
-/// Resolves the memory policy requested in `opts` (default: the §III-B
-/// `eq` pin, matching every session built without the flag).
+/// The knobs of one bench run. The default is the paper's configuration:
+/// a sequential depth-first [`Session`] under the §III-B `eq`
+/// concretization, without instrumentation or persistence.
 ///
-/// # Panics
-/// Panics on an unknown `--memory-policy` value — bench bins treat that as
-/// a hard configuration error, like a malformed `--workers`.
-pub fn memory_policy_from_opts(opts: &crate::cli::BenchOpts) -> AddressPolicyKind {
-    match &opts.memory_policy {
-        None => AddressPolicyKind::default(),
-        Some(raw) => parse_memory_policy(raw).unwrap_or_else(|| {
-            panic!("invalid value for --memory-policy: {raw:?} (eq|min|symbolic:N)")
-        }),
-    }
-}
-
-impl SearchStrategy {
-    /// Installs this policy (and, for coverage, its observer feeding
-    /// `map`) on a *sequential* session builder.
-    pub fn install(
-        self,
-        builder: SessionBuilder,
-        map: Option<&Arc<CoverageMap>>,
-    ) -> SessionBuilder {
-        match self {
-            SearchStrategy::Dfs => builder,
-            SearchStrategy::Bfs => builder.strategy(Bfs::<Candidate>::new()),
-            SearchStrategy::Coverage => {
-                let map = map.expect("coverage strategy needs a map");
-                builder.strategy(CoverageGuided::<Candidate>::new(Arc::clone(map)))
-            }
-        }
-    }
-
-    /// Installs this policy as the shard policy of a *parallel* session
-    /// builder.
-    pub fn install_sharded(
-        self,
-        builder: SessionBuilder,
-        map: Option<&Arc<CoverageMap>>,
-    ) -> SessionBuilder {
-        match self {
-            SearchStrategy::Dfs => builder,
-            SearchStrategy::Bfs => builder.shard_strategy(|_| Box::new(Bfs::<Prescription>::new())),
-            SearchStrategy::Coverage => {
-                let map = Arc::clone(map.expect("coverage strategy needs a map"));
-                builder.shard_strategy(move |_| {
-                    Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&map)))
-                })
-            }
-        }
-    }
-}
-
-/// Checkpoint/resume wiring for one bench run — the
-/// [`binsym::SessionBuilder::checkpoint`] / [`binsym::SessionBuilder::resume`]
-/// knobs as plain data, resolved per (engine, benchmark) by
-/// [`crate::cli::BenchOpts::persist_spec`]. Parallel sessions only; the
-/// default spec is inactive.
-#[derive(Debug, Clone, Default)]
-pub struct PersistSpec {
-    /// Write an atomic checkpoint to this path every N merged paths.
-    pub checkpoint: Option<(std::path::PathBuf, u64)>,
+/// Metrics, trace, and persistence are wall-time-only: the explored records
+/// are byte-identical with and without them. The strategy changes only the
+/// discovery order of a full exploration. The `policy` is *not*
+/// wall-time-only: a non-default policy changes which cells
+/// symbolic-address accesses touch, and with it the explored path set.
+#[derive(Clone, Default)]
+pub struct RunConfig {
+    /// Worker threads of a sharded [`binsym::ParallelSession`]; 0 runs the
+    /// sequential [`Session`].
+    pub workers: usize,
+    /// Path-selection policy (the shard policy of every worker when
+    /// sharded).
+    pub strategy: SearchStrategy,
+    /// Address-concretization policy of the symbolic-memory layer.
+    pub policy: AddressPolicyKind,
+    /// Collect a fresh [`MetricsRegistry`] (one shard per worker) into
+    /// [`RunResult::metrics`].
+    pub metrics: bool,
+    /// Span every phase into this sink (one track per worker).
+    pub trace: Option<Arc<dyn TraceSink>>,
+    /// Write an atomic checkpoint to this path every N merged paths and on
+    /// drain. Sharded runs only: the sequential builder rejects it.
+    pub checkpoint: Option<(PathBuf, u64)>,
     /// Seed the exploration from this checkpoint instead of the root.
-    pub resume: Option<std::path::PathBuf>,
+    /// Sharded runs only, like `checkpoint`.
+    pub resume: Option<PathBuf>,
 }
 
-impl PersistSpec {
-    /// True when either knob is set.
-    pub fn is_active(&self) -> bool {
-        self.checkpoint.is_some() || self.resume.is_some()
+impl RunConfig {
+    /// This configuration for one (engine, benchmark) session of a
+    /// campaign: the checkpoint and resume paths become
+    /// `BASE.<engine>.<benchmark>.ck`, with names slugged to `[a-z0-9-]`
+    /// so personas like "angr (fixed)" stay filesystem-safe. Writing and
+    /// resuming suffix alike, so `--checkpoint X` in one invocation pairs
+    /// with `--resume X` in the next.
+    pub fn for_run(&self, engine: &str, benchmark: &str) -> RunConfig {
+        let slug = |s: &str| -> String {
+            s.chars()
+                .map(|c| {
+                    if c.is_ascii_alphanumeric() {
+                        c.to_ascii_lowercase()
+                    } else {
+                        '-'
+                    }
+                })
+                .collect()
+        };
+        let target =
+            |base: &Path| suffixed(base, &format!(".{}.{}.ck", slug(engine), slug(benchmark)));
+        RunConfig {
+            checkpoint: self
+                .checkpoint
+                .as_ref()
+                .map(|(base, every)| (target(base), *every)),
+            resume: self.resume.as_deref().map(target),
+            ..self.clone()
+        }
     }
 }
 
-/// The engines compared in the paper's §V.
+/// `BASE<suffix>`, appended to the whole path so `BASE`'s own extension
+/// stays in place — the one naming rule for every per-run file a bin
+/// derives from a user-given base path.
+pub fn suffixed(base: &Path, suffix: &str) -> PathBuf {
+    let mut name = base.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// The engines compared in the paper's §V, plus the raw formal-semantics
+/// engine the ablation, trajectory, and shard harnesses measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// BINSEC: mature optimized IR engine (bug-free lifter, block cache).
@@ -191,6 +184,8 @@ pub enum Engine {
     Angr,
     /// angr after the fixes (Fig. 6 uses the fixed version).
     AngrFixed,
+    /// BinSym's formal-semantics engine without the persona cost model.
+    Raw,
 }
 
 impl Engine {
@@ -218,6 +213,18 @@ impl Engine {
             Engine::SymExVp => "SymEx-VP",
             Engine::Angr => "angr",
             Engine::AngrFixed => "angr (fixed)",
+            Engine::Raw => "raw",
+        }
+    }
+
+    /// The IR-lifter configuration of the lifter personas (`None` for the
+    /// formal-semantics engines).
+    fn lifter(self) -> Option<EngineConfig> {
+        match self {
+            Engine::Binsec => Some(EngineConfig::binsec()),
+            Engine::Angr => Some(EngineConfig::angr()),
+            Engine::AngrFixed => Some(EngineConfig::angr_fixed()),
+            Engine::BinSym | Engine::SymExVp | Engine::Raw => None,
         }
     }
 
@@ -227,316 +234,101 @@ impl Engine {
         match self {
             Engine::BinSym => Some(Box::new(GhcRuntimeObserver::default())),
             Engine::SymExVp => Some(Box::new(VpObserver::new())),
-            Engine::Binsec | Engine::Angr | Engine::AngrFixed => None,
+            Engine::Binsec | Engine::Angr | Engine::AngrFixed | Engine::Raw => None,
         }
     }
+}
 
-    /// The persona's engine wiring (executor or spec + binary) under the
-    /// given address-concretization policy, with no observer, strategy, or
-    /// worker count installed yet. The policy is installed both on the
-    /// executor (for the lifter personas) and on the builder, so the
-    /// builder's cross-check always sees agreeing sides.
-    fn base_builder(
-        self,
-        elf: &ElfFile,
-        policy: AddressPolicyKind,
-    ) -> Result<SessionBuilder, Error> {
-        Ok(match self {
-            Engine::BinSym | Engine::SymExVp => Session::builder(Spec::rv32im()).binary(elf),
-            Engine::Binsec => Session::executor_builder(
-                LifterExecutor::new(elf, EngineConfig::binsec())?.with_policy(policy),
-            ),
-            Engine::Angr => Session::executor_builder(
-                LifterExecutor::new(elf, EngineConfig::angr())?.with_policy(policy),
-            ),
-            Engine::AngrFixed => Session::executor_builder(
-                LifterExecutor::new(elf, EngineConfig::angr_fixed())?.with_policy(policy),
-            ),
-        }
-        .address_policy(policy))
-    }
+/// A configured session builder plus the handles its run reports from.
+pub struct Wiring {
+    /// The builder; call `build()` when `workers == 0`, `build_parallel()`
+    /// otherwise. Callers may chain further knobs (warm start, the static
+    /// gate) before building.
+    pub builder: SessionBuilder,
+    /// The map the coverage strategy reads and every observer feeds
+    /// (coverage runs only).
+    pub coverage: Option<Arc<CoverageMap>>,
+    /// The fresh registry the run's metrics land in (`metrics` runs only).
+    pub metrics: Option<Arc<MetricsRegistry>>,
+}
 
-    /// Builds the exploration session realizing this persona on `elf`.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn session(self, elf: &ElfFile) -> Result<Session, Error> {
-        self.session_with(elf, SearchStrategy::Dfs, None)
-    }
-
-    /// Builds the persona's session under an explicit path-selection
-    /// strategy. [`SearchStrategy::Coverage`] requires the shared
-    /// `coverage` map; a [`CoverageObserver`] feeding it is composed next
-    /// to the persona's cost-model observer.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn session_with(
-        self,
-        elf: &ElfFile,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-    ) -> Result<Session, Error> {
-        self.session_configured(
-            elf,
-            strategy,
-            coverage,
-            None,
-            None,
-            AddressPolicyKind::default(),
-        )
-    }
-
-    /// [`Engine::session_with`] plus observability — an optional shared
-    /// metrics registry (sequential sessions stamp shard 0) and an optional
-    /// trace sink, both wall-time-only: the explored records are
-    /// byte-identical with and without them — and the address-concretization
-    /// `policy` of the symbolic-memory layer (which is *not* wall-time-only:
-    /// a non-default policy changes which cells symbolic-address accesses
-    /// touch, and with it the explored path set).
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn session_configured(
-        self,
-        elf: &ElfFile,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-        metrics: Option<&Arc<MetricsRegistry>>,
-        trace: Option<&Arc<dyn TraceSink>>,
-        policy: AddressPolicyKind,
-    ) -> Result<Session, Error> {
-        let builder = strategy.install(self.base_builder(elf, policy)?, coverage);
-        let builder = install_instrumentation(builder, metrics, trace);
-        let builder = match compose_observer(self.persona_observer(), coverage) {
-            Some(observer) => builder.observer(observer),
-            None => builder,
-        };
-        builder.build()
-    }
-
-    /// Builds the sharded (work-stealing) exploration session realizing
-    /// this persona on `elf` with the given worker count. Per-worker
-    /// observers reproduce each persona's cost model on every worker
-    /// thread, so parallel timings remain comparable with the sequential
-    /// Fig. 6 personas.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn parallel_session(self, elf: &ElfFile, workers: usize) -> Result<ParallelSession, Error> {
-        self.parallel_session_with(elf, workers, SearchStrategy::Dfs, None)
-    }
-
-    /// Builds the persona's sharded session under an explicit shard
-    /// policy. With [`SearchStrategy::Coverage`] every worker's
-    /// [`CoverageGuided`] frontier reads — and every worker's
-    /// [`CoverageObserver`] feeds — the same lock-free `coverage` map.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn parallel_session_with(
-        self,
-        elf: &ElfFile,
-        workers: usize,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-    ) -> Result<ParallelSession, Error> {
-        self.parallel_session_configured(elf, workers, strategy, coverage, None, None)
-    }
-
-    /// [`Engine::parallel_session_with`] plus observability: an optional
-    /// shared metrics registry (one shard per worker, merged on read) and
-    /// an optional trace sink (one track per worker, merge phase on track
-    /// `workers`). Both are wall-time-only.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn parallel_session_configured(
-        self,
-        elf: &ElfFile,
-        workers: usize,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-        metrics: Option<&Arc<MetricsRegistry>>,
-        trace: Option<&Arc<dyn TraceSink>>,
-    ) -> Result<ParallelSession, Error> {
-        self.parallel_session_persistent(
-            elf,
-            workers,
-            strategy,
-            coverage,
-            metrics,
-            trace,
-            &PersistSpec::default(),
-            AddressPolicyKind::default(),
-        )
-    }
-
-    /// [`Engine::parallel_session_configured`] plus exploration
-    /// persistence — an optional checkpoint destination (atomic tmp+rename
-    /// writes every N merged paths and on drain) and an optional resume
-    /// source, both leaving merged records byte-identical to a plain
-    /// uninterrupted run — and the address-concretization `policy`, which
-    /// every worker's executor shares (it is stamped into each prescription
-    /// and persisted with checkpoints, so a resume under a different policy
-    /// is rejected).
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol, or —
-    /// on the first `run_all` — [`binsym::Error::Persist`] when the resume
-    /// source is unreadable or incompatible.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_session_persistent(
-        self,
-        elf: &ElfFile,
-        workers: usize,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-        metrics: Option<&Arc<MetricsRegistry>>,
-        trace: Option<&Arc<dyn TraceSink>>,
-        persist: &PersistSpec,
-        policy: AddressPolicyKind,
-    ) -> Result<ParallelSession, Error> {
-        let builder = match self {
-            Engine::BinSym | Engine::SymExVp => Session::builder(Spec::rv32im()).binary(elf),
-            Engine::Binsec | Engine::Angr | Engine::AngrFixed => {
-                let config = match self {
-                    Engine::Binsec => EngineConfig::binsec(),
-                    Engine::Angr => EngineConfig::angr(),
-                    _ => EngineConfig::angr_fixed(),
-                };
-                let elf = elf.clone();
-                Session::factory_builder(move || {
-                    Ok(
-                        Box::new(LifterExecutor::new(&elf, config)?.with_policy(policy))
-                            as Box<dyn PathExecutor>,
-                    )
-                })
-            }
-        };
-        let builder = strategy
-            .install_sharded(builder.address_policy(policy), coverage)
-            .workers(workers);
-        let builder = install_instrumentation(builder, metrics, trace);
-        let builder = match &persist.checkpoint {
-            Some((path, every)) => builder.checkpoint(path, *every),
-            None => builder,
-        };
-        let builder = match &persist.resume {
-            Some(path) => builder.resume(path),
-            None => builder,
-        };
-        let builder = if self.persona_observer().is_some() || coverage.is_some() {
-            let map = coverage.map(Arc::clone);
-            builder.observer_factory(move |_| {
-                compose_observer(self.persona_observer(), map.as_ref())
-                    .expect("factory installed without observer or map")
+/// Wires `engine` on `elf` under `cfg` — the one place the bench harness
+/// assembles a session:
+///
+/// * the engine: the spec executor over `elf`, or an IR-lifter executor
+///   factory (one executor per worker) under `cfg.policy`, with the policy
+///   also on the builder so its cross-check sees agreeing sides;
+/// * the strategy, as a sequential frontier or as every worker's shard
+///   policy, all coverage-guided frontiers reading one shared map;
+/// * the observers: the persona's cost model first, then the coverage
+///   feed — one pair per worker when sharded, so parallel timings stay
+///   comparable with the sequential Fig. 6 personas;
+/// * metrics, trace, checkpoint, and resume.
+pub fn wire(engine: Engine, elf: &ElfFile, cfg: &RunConfig) -> Wiring {
+    let policy = cfg.policy;
+    let builder = match engine.lifter() {
+        None => Session::builder(Spec::rv32im()).binary(elf),
+        Some(config) => {
+            let elf = elf.clone();
+            Session::factory_builder(move || {
+                Ok(
+                    Box::new(LifterExecutor::new(&elf, config)?.with_policy(policy))
+                        as Box<dyn PathExecutor>,
+                )
             })
-        } else {
-            builder
-        };
-        builder.build_parallel()
+        }
     }
-}
+    .address_policy(policy);
 
-/// Streams one full *sequential* exploration of `p` (plain BinSym engine,
-/// no persona cost model) under `strategy`, with a fresh [`CoverageMap`]
-/// observing every path. Returns `(paths_to_full_coverage, covered_pcs,
-/// total_paths)` — the ablation-4 "coverage velocity" metric, shared by
-/// the ablation harness and the acceptance tests so the two can never
-/// measure different things.
-///
-/// # Panics
-/// Panics if the program fails to build, explore, or enumerate at least
-/// one path — the bundled benchmarks are repo invariants.
-pub fn coverage_trajectory(p: &crate::Program, strategy: SearchStrategy) -> (u64, u64, u64) {
-    let t = policy_trajectory(p, strategy, AddressPolicyKind::default());
-    (t.paths_to_full_coverage, t.covered_pcs, t.paths)
-}
-
-/// One memory-policy datapoint on one program: a full *sequential*
-/// exploration (plain BinSym engine) under `strategy` and `policy`, with a
-/// fresh [`CoverageMap`] observing every path. Shared by ablation 7 and
-/// the memory-policy acceptance tests, so the two can never measure
-/// different things. Note `paths_to_full_coverage` is paths to the run's
-/// *final* coverage: when a concretizing policy leaves code unreached
-/// (`covered_pcs < tracked_pcs`), it reports how fast the run saturated at
-/// its — partial — ceiling.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyTrajectory {
-    /// Total enumerated paths.
-    pub paths: u64,
-    /// Exploration feasibility queries discharged by the solver.
-    pub solver_checks: u64,
-    /// Wall-clock seconds of the exploration.
-    pub seconds: f64,
-    /// Paths until the run's final covered-PC count was first reached.
-    pub paths_to_full_coverage: u64,
-    /// Distinct text-segment instruction slots executed.
-    pub covered_pcs: u64,
-    /// Instruction slots tracked (the full-coverage target).
-    pub tracked_pcs: u64,
-}
-
-/// Streams one full sequential exploration of `p` under `strategy` and
-/// the given address-concretization `policy` (see [`PolicyTrajectory`]).
-///
-/// # Panics
-/// Panics if the program fails to build, explore, or enumerate at least
-/// one path — the bundled benchmarks are repo invariants.
-pub fn policy_trajectory(
-    p: &crate::Program,
-    strategy: SearchStrategy,
-    policy: AddressPolicyKind,
-) -> PolicyTrajectory {
-    let elf = p.build();
-    let map = CoverageMap::shared_for(&elf);
-    let builder = strategy.install(
-        Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .address_policy(policy)
-            .observer(CoverageObserver::new(Arc::clone(&map))),
-        Some(&map),
-    );
-    let mut session = builder.build().expect("builds");
-    let start = Instant::now();
-    let mut per_path = Vec::new();
-    for r in session.paths() {
-        r.expect("explores");
-        per_path.push(map.covered_count());
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let summary = session.summary();
-    let final_cov = *per_path.last().expect("at least one path");
-    let to_full = per_path
-        .iter()
-        .position(|&c| c == final_cov)
-        .expect("found") as u64
-        + 1;
-    PolicyTrajectory {
-        paths: per_path.len() as u64,
-        solver_checks: summary.solver_checks,
-        seconds,
-        paths_to_full_coverage: to_full,
-        covered_pcs: final_cov,
-        tracked_pcs: map.tracked_slots(),
-    }
-}
-
-/// Installs the optional observability knobs on a builder — shared by the
-/// sequential and parallel `*_configured` constructors.
-fn install_instrumentation(
-    builder: SessionBuilder,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: Option<&Arc<dyn TraceSink>>,
-) -> SessionBuilder {
-    let builder = match metrics {
-        Some(registry) => builder.metrics(Arc::clone(registry)),
-        None => builder,
+    let sequential = cfg.workers == 0;
+    let coverage = (cfg.strategy == SearchStrategy::Coverage).then(|| CoverageMap::shared_for(elf));
+    let builder = match (&coverage, cfg.strategy) {
+        (Some(map), _) if sequential => {
+            builder.strategy(CoverageGuided::<Candidate>::new(Arc::clone(map)))
+        }
+        (Some(map), _) => {
+            let map = Arc::clone(map);
+            builder.shard_strategy(move |_| {
+                Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&map)))
+            })
+        }
+        (None, SearchStrategy::Bfs) if sequential => builder.strategy(Bfs::<Candidate>::new()),
+        (None, SearchStrategy::Bfs) => {
+            builder.shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
+        }
+        (None, _) => builder,
     };
-    match trace {
-        Some(sink) => builder.trace(Arc::clone(sink)),
-        None => builder,
+
+    let map = coverage.clone();
+    let observer = move || compose_observer(engine.persona_observer(), map.as_ref());
+    let mut builder = match observer() {
+        None if sequential => builder,
+        None => builder.workers(cfg.workers),
+        Some(first) if sequential => builder.observer(first),
+        Some(_) => builder.workers(cfg.workers).observer_factory(move |_| {
+            observer().expect("every worker gets the observers of the first")
+        }),
+    };
+
+    let metrics = cfg
+        .metrics
+        .then(|| Arc::new(MetricsRegistry::new(cfg.workers.max(1))));
+    if let Some(registry) = &metrics {
+        builder = builder.metrics(Arc::clone(registry));
+    }
+    if let Some(sink) = &cfg.trace {
+        builder = builder.trace(Arc::clone(sink));
+    }
+    if let Some((path, every)) = &cfg.checkpoint {
+        builder = builder.checkpoint(path, *every);
+    }
+    if let Some(path) = &cfg.resume {
+        builder = builder.resume(path);
+    }
+    Wiring {
+        builder,
+        coverage,
+        metrics,
     }
 }
 
@@ -572,146 +364,117 @@ pub struct RunResult {
     pub metrics: Option<MetricsReport>,
 }
 
-/// Runs `engine` on `elf` to full exploration, measuring wall time.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails (the buggy angr persona *can* fail on binaries with custom
-/// instructions — that is part of the reproduction).
-pub fn run_engine(engine: Engine, elf: &ElfFile) -> Result<RunResult, Error> {
-    run_engine_with(engine, elf, 0, SearchStrategy::Dfs)
-}
-
-/// Runs `engine` on `elf` with a sharded [`ParallelSession`] of `workers`
-/// threads to full exploration, measuring wall time. With `workers == 0`
-/// this falls back to the sequential [`run_engine`], so bench bins can
-/// thread one `--workers` knob through unchanged code paths.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails to replay.
-pub fn run_engine_parallel(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-) -> Result<RunResult, Error> {
-    run_engine_with(engine, elf, workers, SearchStrategy::Dfs)
-}
-
-/// Runs `engine` on `elf` under an explicit strategy — sequential when
-/// `workers == 0`, sharded otherwise — measuring wall time. A coverage
-/// run allocates its own [`CoverageMap`] and reports the covered-PC count.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails to execute or replay.
-pub fn run_engine_with(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-    strategy: SearchStrategy,
-) -> Result<RunResult, Error> {
-    run_engine_instrumented(engine, elf, workers, strategy, false, None)
-}
-
-/// [`run_engine_with`] plus observability: with `metrics` a fresh
-/// [`MetricsRegistry`] (one shard per worker) is allocated for the run and
-/// its merged [`MetricsReport`] lands in [`RunResult::metrics`]; with
-/// `trace` every phase is spanned into the given sink — the bench bins
-/// share one [`binsym::ChromeTraceSink`] across all their runs so the whole
-/// benchmark campaign lands in a single Perfetto-openable file.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails to execute or replay.
-pub fn run_engine_instrumented(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-    strategy: SearchStrategy,
-    metrics: bool,
-    trace: Option<&Arc<dyn TraceSink>>,
-) -> Result<RunResult, Error> {
-    run_engine_resumable(
-        engine,
-        elf,
-        workers,
-        strategy,
-        metrics,
-        trace,
-        &PersistSpec::default(),
-        AddressPolicyKind::default(),
-    )
-}
-
-/// [`run_engine_instrumented`] plus checkpoint/resume persistence (see
-/// [`PersistSpec`]) and the address-concretization `policy` of the
-/// symbolic-memory layer (`--memory-policy`; the default reproduces every
-/// pre-policy run bit for bit). Persistence requires a parallel run: with
-/// `workers == 0` an active spec is a configuration error, surfaced as
-/// [`binsym::Error::InvalidConfig`] by the builder.
+/// Runs `engine` on `elf` under `cfg` to full exploration, measuring wall
+/// time.
 ///
 /// # Errors
 /// Returns [`Error`] if the binary lacks a `__sym_input` symbol, a path
-/// fails to execute or replay, or the resume source is unreadable or
-/// incompatible ([`binsym::Error::Persist`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_resumable(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-    strategy: SearchStrategy,
-    metrics: bool,
-    trace: Option<&Arc<dyn TraceSink>>,
-    persist: &PersistSpec,
-    policy: AddressPolicyKind,
-) -> Result<RunResult, Error> {
-    let coverage = (strategy == SearchStrategy::Coverage).then(|| CoverageMap::shared_for(elf));
-    let registry = metrics.then(|| Arc::new(MetricsRegistry::new(workers.max(1))));
+/// fails to execute or replay (the buggy angr persona *can* fail on
+/// binaries with custom instructions — that is part of the reproduction),
+/// the configuration is invalid (persistence on a sequential run), or the
+/// resume source is unreadable or incompatible ([`binsym::Error::Persist`]).
+pub fn run(engine: Engine, elf: &ElfFile, cfg: &RunConfig) -> Result<RunResult, Error> {
     // The timed region includes engine construction (ELF clone, lifter
     // setup), matching the original measurement boundary of the Fig. 6
     // harness.
     let start = Instant::now();
-    let summary = if workers == 0 {
-        if persist.is_active() {
-            // The sequential builder rejects persistence with the precise
-            // message; route through it instead of duplicating the check.
-            return Err(Session::builder(Spec::rv32im())
-                .binary(elf)
-                .checkpoint("unused", 1)
-                .build()
-                .expect_err("sequential builder rejects persistence"));
-        }
-        engine
-            .session_configured(
-                elf,
-                strategy,
-                coverage.as_ref(),
-                registry.as_ref(),
-                trace,
-                policy,
-            )?
-            .run_all()?
+    let Wiring {
+        builder,
+        coverage,
+        metrics,
+    } = wire(engine, elf, cfg);
+    let summary = if cfg.workers == 0 {
+        builder.build()?.run_all()?
     } else {
-        engine
-            .parallel_session_persistent(
-                elf,
-                workers,
-                strategy,
-                coverage.as_ref(),
-                registry.as_ref(),
-                trace,
-                persist,
-                policy,
-            )?
-            .run_all()?
+        builder.build_parallel()?.run_all()?
     };
     Ok(RunResult {
         summary,
         duration: start.elapsed(),
         covered_pcs: coverage.map(|m| (m.covered_count(), m.tracked_slots())),
-        metrics: registry.map(|r| r.report()),
+        metrics: metrics.map(|r| r.report()),
     })
+}
+
+/// One memory-policy datapoint on one program: a full *sequential*
+/// exploration (raw engine) under `strategy` and `policy`, with a
+/// fresh [`CoverageMap`] observing every path. Shared by ablations 4 and 7
+/// and the acceptance tests, so the two can never measure different
+/// things. Note `paths_to_full_coverage` is paths to the run's *final*
+/// coverage: when a concretizing policy leaves code unreached
+/// (`covered_pcs < tracked_pcs`), it reports how fast the run saturated at
+/// its — partial — ceiling.
+#[derive(Debug, Clone, Copy)]
+pub struct PolicyTrajectory {
+    /// Total enumerated paths.
+    pub paths: u64,
+    /// Exploration feasibility queries discharged by the solver.
+    pub solver_checks: u64,
+    /// Wall-clock seconds of the exploration.
+    pub seconds: f64,
+    /// Paths until the run's final covered-PC count was first reached.
+    pub paths_to_full_coverage: u64,
+    /// Distinct text-segment instruction slots executed.
+    pub covered_pcs: u64,
+    /// Instruction slots tracked (the full-coverage target).
+    pub tracked_pcs: u64,
+}
+
+/// Streams one full sequential exploration of `p` under `strategy` and
+/// the given address-concretization `policy` (see [`PolicyTrajectory`]).
+///
+/// # Panics
+/// Panics if the program fails to build, explore, or enumerate at least
+/// one path — the bundled benchmarks are repo invariants.
+pub fn policy_trajectory(
+    p: &crate::Program,
+    strategy: SearchStrategy,
+    policy: AddressPolicyKind,
+) -> PolicyTrajectory {
+    let elf = p.build();
+    let cfg = RunConfig {
+        strategy,
+        policy,
+        ..RunConfig::default()
+    };
+    let Wiring {
+        builder, coverage, ..
+    } = wire(Engine::Raw, &elf, &cfg);
+    // Only the coverage strategy feeds a map of its own; the trajectory
+    // observes one under every strategy.
+    let (builder, map) = match coverage {
+        Some(map) => (builder, map),
+        None => {
+            let map = CoverageMap::shared_for(&elf);
+            (
+                builder.observer(CoverageObserver::new(Arc::clone(&map))),
+                map,
+            )
+        }
+    };
+    let mut session = builder.build().expect("builds");
+    let start = Instant::now();
+    let mut per_path = Vec::new();
+    for r in session.paths() {
+        r.expect("explores");
+        per_path.push(map.covered_count());
+    }
+    let seconds = start.elapsed().as_secs_f64();
+    let summary = session.summary();
+    let final_cov = *per_path.last().expect("at least one path");
+    let to_full = per_path
+        .iter()
+        .position(|&c| c == final_cov)
+        .expect("found") as u64
+        + 1;
+    PolicyTrajectory {
+        paths: per_path.len() as u64,
+        solver_checks: summary.solver_checks,
+        seconds,
+        paths_to_full_coverage: to_full,
+        covered_pcs: final_cov,
+        tracked_pcs: map.tracked_slots(),
+    }
 }
 
 /// Process ids used by the virtual prototype.
@@ -899,7 +662,7 @@ small:
     fn all_engines_agree_on_small_program() {
         let elf = small_program();
         for engine in Engine::TABLE1 {
-            let r = run_engine(engine, &elf).expect("runs");
+            let r = run(engine, &elf, &RunConfig::default()).expect("runs");
             assert_eq!(r.summary.paths, 2, "{}", engine.name());
         }
     }
@@ -908,11 +671,15 @@ small:
     fn parallel_personas_match_sequential_path_counts() {
         let elf = small_program();
         for engine in Engine::TABLE1 {
-            let seq = run_engine(engine, &elf).expect("sequential").summary;
+            let seq = run(engine, &elf, &RunConfig::default())
+                .expect("sequential")
+                .summary;
             for workers in [1, 2] {
-                let par = run_engine_parallel(engine, &elf, workers)
-                    .expect("parallel")
-                    .summary;
+                let cfg = RunConfig {
+                    workers,
+                    ..RunConfig::default()
+                };
+                let par = run(engine, &elf, &cfg).expect("parallel").summary;
                 assert_eq!(
                     par.paths,
                     seq.paths,
@@ -927,13 +694,18 @@ small:
     #[test]
     fn coverage_strategy_preserves_path_counts_and_reports_coverage() {
         let elf = small_program();
+        let coverage = |workers| RunConfig {
+            workers,
+            strategy: SearchStrategy::Coverage,
+            ..RunConfig::default()
+        };
         for engine in [Engine::BinSym, Engine::Binsec] {
-            let seq = run_engine_with(engine, &elf, 0, SearchStrategy::Coverage).expect("seq");
+            let seq = run(engine, &elf, &coverage(0)).expect("seq");
             assert_eq!(seq.summary.paths, 2, "{} sequential", engine.name());
             let (covered, tracked) = seq.covered_pcs.expect("coverage reported");
             assert!(covered > 0 && covered <= tracked, "{}", engine.name());
 
-            let par = run_engine_with(engine, &elf, 2, SearchStrategy::Coverage).expect("par");
+            let par = run(engine, &elf, &coverage(2)).expect("par");
             assert_eq!(par.summary.paths, 2, "{} sharded", engine.name());
             assert_eq!(
                 par.covered_pcs.expect("coverage reported"),
@@ -942,7 +714,7 @@ small:
                 engine.name()
             );
 
-            let dfs = run_engine(engine, &elf).expect("dfs");
+            let dfs = run(engine, &elf, &RunConfig::default()).expect("dfs");
             assert_eq!(dfs.summary.paths, par.summary.paths);
             assert!(dfs.covered_pcs.is_none(), "dfs runs report no coverage");
         }
@@ -952,8 +724,12 @@ small:
     fn bfs_strategy_preserves_path_counts() {
         let elf = small_program();
         for workers in [0usize, 2] {
-            let r = run_engine_with(Engine::BinSym, &elf, workers, SearchStrategy::Bfs)
-                .expect("explores");
+            let cfg = RunConfig {
+                workers,
+                strategy: SearchStrategy::Bfs,
+                ..RunConfig::default()
+            };
+            let r = run(Engine::BinSym, &elf, &cfg).expect("explores");
             assert_eq!(r.summary.paths, 2, "{workers} workers");
             assert!(r.covered_pcs.is_none());
         }
@@ -968,11 +744,11 @@ small:
             Some(SearchStrategy::Coverage)
         );
         assert_eq!(SearchStrategy::parse("dfS"), None);
-        let opts = crate::cli::BenchOpts {
-            strategy: Some("coverage".into()),
-            ..Default::default()
-        };
-        assert_eq!(SearchStrategy::from_opts(&opts), SearchStrategy::Coverage);
+        let opts = crate::cli::BenchOpts::parse(
+            ["--strategy", "coverage"].map(String::from).into_iter(),
+            None,
+        );
+        assert_eq!(opts.strategy, SearchStrategy::Coverage);
     }
 
     #[test]
@@ -1024,18 +800,19 @@ small:
         let sink = Arc::new(binsym::ChromeTraceSink::new());
         let trace: Arc<dyn TraceSink> = Arc::clone(&sink) as Arc<dyn TraceSink>;
         for workers in [0usize, 2] {
-            let plain = run_engine_with(Engine::BinSym, &elf, workers, SearchStrategy::Dfs)
-                .expect("plain run");
-            assert!(plain.metrics.is_none(), "metrics are opt-in");
-            let instrumented = run_engine_instrumented(
-                Engine::BinSym,
-                &elf,
+            let plain = RunConfig {
                 workers,
-                SearchStrategy::Dfs,
-                true,
-                Some(&trace),
-            )
-            .expect("instrumented run");
+                ..RunConfig::default()
+            };
+            let plain = run(Engine::BinSym, &elf, &plain).expect("plain run");
+            assert!(plain.metrics.is_none(), "metrics are opt-in");
+            let cfg = RunConfig {
+                workers,
+                metrics: true,
+                trace: Some(Arc::clone(&trace)),
+                ..RunConfig::default()
+            };
+            let instrumented = run(Engine::BinSym, &elf, &cfg).expect("instrumented run");
             assert_eq!(instrumented.summary.paths, plain.summary.paths);
             assert_eq!(
                 instrumented.summary.solver_checks, plain.summary.solver_checks,
@@ -1059,8 +836,12 @@ small:
         // this is the slowest unit test in the crate).
         let p = programs::BUBBLE_SORT;
         let elf = p.build();
-        let correct = run_engine(Engine::BinSym, &elf).expect("binsym").summary;
-        let buggy = run_engine(Engine::Angr, &elf).expect("angr").summary;
+        let correct = run(Engine::BinSym, &elf, &RunConfig::default())
+            .expect("binsym")
+            .summary;
+        let buggy = run(Engine::Angr, &elf, &RunConfig::default())
+            .expect("angr")
+            .summary;
         assert_eq!(correct.paths, p.expected_paths);
         assert_eq!(buggy.paths, p.expected_paths_buggy_angr);
     }
@@ -1091,15 +872,5 @@ small:
         for bad in ["", "EQ", "symbolic", "symbolic:", "symbolic:0", "window:8"] {
             assert_eq!(parse_memory_policy(bad), None, "{bad:?} must be rejected");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid value for --memory-policy")]
-    fn malformed_memory_policy_fails_loudly() {
-        let opts = crate::cli::BenchOpts {
-            memory_policy: Some("sym".into()),
-            ..Default::default()
-        };
-        let _ = memory_policy_from_opts(&opts);
     }
 }

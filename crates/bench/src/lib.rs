@@ -8,14 +8,16 @@
 //! * [`engines`] — the four engines compared in the paper, all running on
 //!   the shared DSE loop and SMT solver: BinSym (formal semantics), BINSEC
 //!   (optimized IR), SymEx-VP (BinSym semantics inside a SystemC-style DES
-//!   simulation), and angr (buggy or fixed IR lifter, interpreted). Every
-//!   persona also runs sharded ([`run_engine_parallel`]) on a
-//!   work-stealing [`binsym::ParallelSession`], and under any
-//!   [`SearchStrategy`] ([`run_engine_with`]) — depth-first, breadth-first,
-//!   or coverage-guided with covered-PC reporting.
-//! * [`cli`] — shared `--workers`/`--strategy`/`--json` plumbing and the
-//!   dependency-free JSON writer behind the `BENCH_*.json` perf-trajectory
-//!   summaries.
+//!   simulation), and angr (buggy or fixed IR lifter, interpreted). One
+//!   [`RunConfig`] selects sequential or sharded exploration on a
+//!   work-stealing [`binsym::ParallelSession`], the [`SearchStrategy`]
+//!   (depth-first, breadth-first, or coverage-guided with covered-PC
+//!   reporting), the memory policy, instrumentation, and persistence;
+//!   [`wire`] turns it into a session builder and [`run`] explores.
+//! * [`cli`] — the shared flag reader, the typed [`BenchOpts`] behind every
+//!   bin's `--workers`/`--strategy`/`--json` flags, and the
+//!   dependency-free JSON writer behind the `BENCH_*.json`
+//!   perf-trajectory summaries.
 //!
 //! Reproduce the paper's artifacts with:
 //!
@@ -32,9 +34,7 @@ pub mod programs;
 
 pub use cli::{BenchOpts, Json};
 pub use engines::{
-    coverage_trajectory, memory_policy_from_opts, parse_memory_policy, policy_trajectory,
-    run_engine, run_engine_instrumented, run_engine_parallel, run_engine_resumable,
-    run_engine_with, Engine, GhcRuntimeObserver, PersistSpec, PolicyTrajectory, RunResult,
-    SearchStrategy, VpObserver, VpStats,
+    parse_memory_policy, policy_trajectory, run, wire, Engine, GhcRuntimeObserver,
+    PolicyTrajectory, RunConfig, RunResult, SearchStrategy, VpObserver, VpStats, Wiring,
 };
 pub use programs::{all_programs, by_name, Program, TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};

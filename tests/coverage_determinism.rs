@@ -33,11 +33,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use binsym_repro::bench::programs::{self, Program};
-use binsym_repro::bench::{coverage_trajectory, SearchStrategy};
+use binsym_repro::bench::{policy_trajectory, SearchStrategy};
 use binsym_repro::binsym::{
-    CheckpointEvent, ChromeTraceSink, Counter, CoverageGuided, CoverageMap, CoverageObserver,
-    MetricsRegistry, MetricsReport, Observer, PathRecord, Prescription, Session, Summary,
-    TraceSink,
+    AddressPolicyKind, CheckpointEvent, ChromeTraceSink, Counter, CoverageGuided, CoverageMap,
+    CoverageObserver, MetricsRegistry, MetricsReport, Observer, PathRecord, Prescription, Session,
+    Summary, TraceSink,
 };
 use binsym_repro::isa::Spec;
 
@@ -194,11 +194,12 @@ fn check_truncated(p: &Program, limit: u64) {
 }
 
 /// Sequential paths-to-full-coverage under a strategy — the exact
-/// ablation-4 metric, via the shared [`coverage_trajectory`] helper.
+/// ablation-4 metric, via the shared [`policy_trajectory`] helper under
+/// the default memory policy.
 fn paths_to_full_coverage(p: &Program, strategy: SearchStrategy) -> u64 {
-    let (to_full, _, total) = coverage_trajectory(p, strategy);
-    assert_eq!(total, p.expected_paths, "{}", p.name);
-    to_full
+    let t = policy_trajectory(p, strategy, AddressPolicyKind::default());
+    assert_eq!(t.paths, p.expected_paths, "{}", p.name);
+    t.paths_to_full_coverage
 }
 
 /// The warm-start × coverage-guided contract: with `.warm_start(true)` on
@@ -563,7 +564,6 @@ fn table_lookup_coverage_guided_is_deterministic_under_every_policy() {
     // at every worker count — and the windowed model must actually reach
     // full coverage through the coverage-guided frontier.
     use binsym_repro::bench::{TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
-    use binsym_repro::binsym::AddressPolicyKind;
 
     let elf = TABLE_LOOKUP.build();
     for (policy, expected) in [

@@ -10,7 +10,7 @@
 //! * the sort path counts are n! (the paper's exact values).
 
 use binsym_repro::bench::programs;
-use binsym_repro::bench::{run_engine, Engine};
+use binsym_repro::bench::{run, Engine, RunConfig};
 
 #[test]
 fn clif_parser_all_engines_agree() {
@@ -18,7 +18,7 @@ fn clif_parser_all_engines_agree() {
     let elf = p.build();
     let mut counts = Vec::new();
     for engine in Engine::TABLE1 {
-        let r = run_engine(engine, &elf).expect("explores");
+        let r = run(engine, &elf, &RunConfig::default()).expect("explores");
         counts.push((engine.name(), r.summary.paths));
     }
     for (name, paths) in &counts {
@@ -30,8 +30,12 @@ fn clif_parser_all_engines_agree() {
 fn uri_parser_angr_misses_iri_paths() {
     let p = programs::URI_PARSER;
     let elf = p.build();
-    let correct = run_engine(Engine::BinSym, &elf).expect("binsym").summary;
-    let buggy = run_engine(Engine::Angr, &elf).expect("angr").summary;
+    let correct = run(Engine::BinSym, &elf, &RunConfig::default())
+        .expect("binsym")
+        .summary;
+    let buggy = run(Engine::Angr, &elf, &RunConfig::default())
+        .expect("angr")
+        .summary;
     assert_eq!(correct.paths, p.expected_paths);
     assert_eq!(buggy.paths, p.expected_paths_buggy_angr);
     assert!(
@@ -44,7 +48,9 @@ fn uri_parser_angr_misses_iri_paths() {
 fn bubble_sort_has_factorial_paths() {
     let p = programs::BUBBLE_SORT;
     let elf = p.build();
-    let s = run_engine(Engine::BinSym, &elf).expect("binsym").summary;
+    let s = run(Engine::BinSym, &elf, &RunConfig::default())
+        .expect("binsym")
+        .summary;
     assert_eq!(s.paths, 720, "6! orderings");
     assert!(
         s.error_paths.is_empty(),
@@ -56,8 +62,12 @@ fn bubble_sort_has_factorial_paths() {
 fn base64_encode_angr_vs_correct() {
     let p = programs::BASE64_ENCODE;
     let elf = p.build();
-    let correct = run_engine(Engine::Binsec, &elf).expect("binsec").summary;
-    let buggy = run_engine(Engine::Angr, &elf).expect("angr").summary;
+    let correct = run(Engine::Binsec, &elf, &RunConfig::default())
+        .expect("binsec")
+        .summary;
+    let buggy = run(Engine::Angr, &elf, &RunConfig::default())
+        .expect("angr")
+        .summary;
     assert_eq!(correct.paths, 6250, "the paper's exact Table I value");
     assert_eq!(buggy.paths, p.expected_paths_buggy_angr);
 }
