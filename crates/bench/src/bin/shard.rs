@@ -28,8 +28,11 @@
 //! stream, byte-for-byte, at any `--procs`/`--workers` count. Summary
 //! stats are rebuilt from the merged records; solver checks sum across
 //! child summaries (the root replay issues none); metrics shards merge
-//! associatively; `--trace` JSONL events concatenate per child segment
-//! (spans stay balanced per track; timestamps restart at each segment).
+//! associatively; `--trace` JSONL events concatenate per child segment.
+//! Each child stamps timestamps from its own epoch, so child `i` writes
+//! its worker tracks `0..=workers` shifted to `i*(workers+1)..` — the
+//! segments then occupy disjoint track ranges, and the concatenation keeps
+//! spans balanced and timestamps monotone per track.
 //!
 //! `--verify` re-runs the hunt in-process on the same configuration and
 //! asserts the merged stream and summary are byte-identical — the paper
@@ -48,8 +51,8 @@ use std::time::Instant;
 
 use binsym::persist::section;
 use binsym::{
-    decode_one, decode_seq, encode_one, encode_seq, AddressPolicyKind, Document, JsonlTraceSink,
-    MetricsReport, PathRecord, Prescription, Summary, TraceSink,
+    decode_one, decode_seq, encode_one, encode_seq, AddressPolicyKind, Dec, Document, Enc,
+    JsonlTraceSink, MetricsReport, PathRecord, Prescription, Summary, TraceSink, Wire,
 };
 use binsym_bench::cli::{usage_error, write_json, Args, BenchOpts, Json};
 use binsym_bench::engines::suffixed;
@@ -129,6 +132,50 @@ fn hunt(elf: &ElfFile, cfg: &RunConfig) -> Wiring {
         builder: wiring.builder.warm_start(true).static_analysis(true),
         ..wiring
     }
+}
+
+/// A [`TraceSink`] shifting every track by `offset`, so concurrently
+/// running shard children write disjoint track ranges.
+struct OffsetTracks {
+    inner: Arc<dyn TraceSink>,
+    offset: u32,
+}
+
+impl TraceSink for OffsetTracks {
+    fn begin_span(&self, track: u32, name: &str) {
+        self.inner.begin_span(self.offset + track, name);
+    }
+
+    fn end_span(&self, track: u32, name: &str) {
+        self.inner.end_span(self.offset + track, name);
+    }
+
+    fn instant(&self, track: u32, name: &str) {
+        self.inner.instant(self.offset + track, name);
+    }
+}
+
+/// The first trace track of shard child `shard`: each child's session
+/// uses tracks `0..=workers` (the workers plus the coordinator).
+fn track_base(shard: u64, workers: usize) -> u32 {
+    u32::try_from(shard * (workers as u64 + 1)).expect("track ids fit u32")
+}
+
+/// A bag's `META` section: the benchmark it was cut for and the child's
+/// shard index.
+fn encode_bag_meta(benchmark: &str, shard: u64) -> Vec<u8> {
+    let mut enc = Enc::new();
+    benchmark.to_string().encode(&mut enc);
+    shard.encode(&mut enc);
+    enc.into_bytes()
+}
+
+fn decode_bag_meta(bytes: &[u8]) -> (String, u64) {
+    let mut dec = Dec::new(bytes);
+    let benchmark = String::decode(&mut dec).expect("bag meta benchmark decodes");
+    let shard = u64::decode(&mut dec).expect("bag meta shard decodes");
+    dec.finish().expect("bag meta has no trailing bytes");
+    (benchmark, shard)
 }
 
 fn program(name: &str) -> programs::Program {
@@ -230,7 +277,7 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
         let bag_path = dir.join(format!("bag{i}.bsyw"));
         let out_path = dir.join(format!("out{i}.bsyw"));
         let mut doc = Document::new();
-        doc.push(section::META, encode_one(&args.benchmark));
+        doc.push(section::META, encode_bag_meta(&args.benchmark, i as u64));
         doc.push(section::BAG, encode_seq(chunk));
         doc.write_atomic(&bag_path)
             .unwrap_or_else(|e| panic!("writing bag {}: {e}", bag_path.display()));
@@ -359,8 +406,7 @@ fn run_child(args: &ShardArgs, opts: &BenchOpts) {
         .unwrap_or_else(|| usage_error("--child needs --out FILE"));
     let doc = Document::read(bag_path)
         .unwrap_or_else(|e| panic!("reading bag {}: {e}", bag_path.display()));
-    let meta: String =
-        decode_one(doc.require(section::META).expect("bag meta")).expect("meta decodes");
+    let (meta, shard) = decode_bag_meta(doc.require(section::META).expect("bag meta"));
     if meta != args.benchmark {
         usage_error(&format!(
             "bag was cut for {meta:?}, not {:?}",
@@ -375,10 +421,16 @@ fn run_child(args: &ShardArgs, opts: &BenchOpts) {
         .trace
         .as_ref()
         .map(|path| Arc::new(JsonlTraceSink::to_file(path).expect("child trace file opens")));
+    let base = hunt_config(opts);
     let cfg = RunConfig {
         metrics: opts.metrics,
-        trace: sink.clone().map(|s| s as Arc<dyn TraceSink>),
-        ..hunt_config(opts)
+        trace: sink.clone().map(|s| {
+            Arc::new(OffsetTracks {
+                inner: s,
+                offset: track_base(shard, base.workers),
+            }) as Arc<dyn TraceSink>
+        }),
+        ..base
     };
     let Wiring {
         builder, metrics, ..
@@ -431,4 +483,71 @@ fn run_hunt(args: &ShardArgs, opts: &BenchOpts) {
             ""
         }
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use binsym_bench::cli::validate_trace;
+    use std::io::Write;
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// An in-memory JSONL target the test reads back.
+    #[derive(Clone, Default)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Buf {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One child's trace segment: a span on every track of a
+    /// `workers`-worker session, stamped from the sink's own epoch after
+    /// `delay`.
+    fn segment(shard: u64, workers: usize, offset: bool, delay: Duration) -> String {
+        let buf = Buf::default();
+        let jsonl: Arc<dyn TraceSink> = Arc::new(JsonlTraceSink::new(buf.clone()));
+        let sink: Arc<dyn TraceSink> = if offset {
+            Arc::new(OffsetTracks {
+                inner: jsonl,
+                offset: track_base(shard, workers),
+            })
+        } else {
+            jsonl
+        };
+        std::thread::sleep(delay);
+        for track in 0..=workers as u32 {
+            sink.begin_span(track, "execute");
+            sink.end_span(track, "execute");
+        }
+        let bytes = buf.0.lock().unwrap().clone();
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn offset_child_segments_concatenate_into_a_valid_trace() {
+        let workers = 2;
+        // The first child's clock runs ahead of the second's, as when its
+        // run is longer: unshifted, their shared tracks go backwards.
+        let concat = |offset: bool| {
+            segment(0, workers, offset, Duration::from_millis(50))
+                + &segment(1, workers, offset, Duration::ZERO)
+        };
+        let err = validate_trace(&concat(false)).unwrap_err();
+        assert!(err.contains("backwards"), "{err}");
+        let shape = validate_trace(&concat(true)).expect("offset segments validate");
+        assert_eq!(shape.tracks, 2 * (workers + 1));
+    }
+
+    #[test]
+    fn bag_meta_round_trips() {
+        let bytes = encode_bag_meta("clif-parser", 3);
+        assert_eq!(decode_bag_meta(&bytes), ("clif-parser".to_string(), 3));
+    }
 }

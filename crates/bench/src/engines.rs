@@ -31,9 +31,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use binsym::{
-    AddressPolicyKind, Bfs, Candidate, CoverageGuided, CoverageMap, CoverageObserver, Error,
-    MetricsRegistry, MetricsReport, Observer, PathExecutor, Prescription, Session, SessionBuilder,
-    Summary, TraceSink,
+    AddressPolicyKind, Bfs, CoverageGuided, CoverageMap, CoverageObserver, Error, MetricsRegistry,
+    MetricsReport, Observer, PathExecutor, Session, SessionBuilder, Summary, TraceSink,
 };
 use binsym_des::{Bus, EventQueue, ProcessId, Time};
 use binsym_elf::ElfFile;
@@ -258,7 +257,7 @@ pub struct Wiring {
 /// * the engine: the spec executor over `elf`, or an IR-lifter executor
 ///   factory (one executor per worker) under `cfg.policy`, with the policy
 ///   also on the builder so its cross-check sees agreeing sides;
-/// * the strategy, as a sequential frontier or as every worker's shard
+/// * the strategy — the sequential frontier or every worker's shard
 ///   policy, all coverage-guided frontiers reading one shared map;
 /// * the observers: the persona's cost model first, then the coverage
 ///   feed — one pair per worker when sharded, so parallel timings stay
@@ -283,19 +282,11 @@ pub fn wire(engine: Engine, elf: &ElfFile, cfg: &RunConfig) -> Wiring {
     let sequential = cfg.workers == 0;
     let coverage = (cfg.strategy == SearchStrategy::Coverage).then(|| CoverageMap::shared_for(elf));
     let builder = match (&coverage, cfg.strategy) {
-        (Some(map), _) if sequential => {
-            builder.strategy(CoverageGuided::<Candidate>::new(Arc::clone(map)))
-        }
         (Some(map), _) => {
             let map = Arc::clone(map);
-            builder.shard_strategy(move |_| {
-                Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&map)))
-            })
+            builder.strategy(move |_| Box::new(CoverageGuided::new(Arc::clone(&map))))
         }
-        (None, SearchStrategy::Bfs) if sequential => builder.strategy(Bfs::<Candidate>::new()),
-        (None, SearchStrategy::Bfs) => {
-            builder.shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
-        }
+        (None, SearchStrategy::Bfs) => builder.strategy(|_| Box::new(Bfs::new())),
         (None, _) => builder,
     };
 

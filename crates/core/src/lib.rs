@@ -18,9 +18,11 @@
 //! Exploration is driven by a [`Session`], assembled with a builder over
 //! three pluggable seams:
 //!
-//! * [`PathStrategy`] — which pending branch flip to try next ([`Dfs`],
-//!   the paper's §III-B policy and the default; [`Bfs`]; [`RandomRestart`];
-//!   [`CoverageGuided`], ranking flips against a lock-free [`CoverageMap`]);
+//! * [`PathStrategy`] — which pending branch flip, a plain-data
+//!   [`Prescription`], to try next ([`Dfs`], the paper's §III-B policy and
+//!   the default; [`Bfs`]; [`RandomRestart`]; [`CoverageGuided`], ranking
+//!   flips against a lock-free [`CoverageMap`]), built by the factory
+//!   given to [`SessionBuilder::strategy`];
 //! * [`SolverBackend`] — how feasibility queries are discharged
 //!   ([`BitblastBackend`] incremental or fresh-per-query; [`SmtLibDump`]
 //!   recording every query as an SMT-LIB v2 script for offline replay),
@@ -37,10 +39,11 @@
 //!
 //! The same builder also assembles a **sharded** exploration:
 //! `.workers(n).build_parallel()` yields a [`ParallelSession`] whose worker
-//! threads each own a complete engine and exchange pending paths as
-//! plain-data, replayable [`Prescription`]s through work-stealing shard
-//! frontiers — with results merged deterministically into the sequential
-//! discovery order (see [`parallel`] and [`prescribe`]).
+//! threads each own a complete engine and exchange the same prescriptions
+//! through work-stealing shard frontiers (one strategy per worker, from the
+//! same factory), replaying each from scratch — with results merged
+//! deterministically into the sequential discovery order (see [`parallel`]
+//! and [`prescribe`]).
 //!
 //! # Quickstart
 //! ```
@@ -109,7 +112,7 @@ pub use metrics::{
 };
 pub use observe::{CheckpointEvent, CountingObserver, NullObserver, Observer};
 pub use parallel::{
-    BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, ShardStrategyFactory,
+    BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, StrategyFactory,
 };
 pub use persist::{
     decode_one, decode_seq, encode_one, encode_seq, Dec, Document, Enc, PersistError, Wire,
@@ -119,10 +122,7 @@ pub use session::{
     find_sym_input, ErrorPath, PathExecutor, PathOutcome, Paths, Session, SessionBuilder,
     SpecExecutor, Summary,
 };
-pub use strategy::{
-    Bfs, BranchSited, Candidate, CoverageGuided, Dfs, FrontierSnapshot, PathStrategy,
-    PrescriptionStrategy, RandomRestart,
-};
+pub use strategy::{Bfs, CoverageGuided, Dfs, FrontierSnapshot, PathStrategy, RandomRestart};
 pub use trace::{ChromeTraceSink, JsonlTraceSink, TraceSink};
 pub use value::{SymByte, SymWord};
 

@@ -481,7 +481,6 @@ pub(crate) struct InstrumentationConfig {
     pub(crate) metrics: Option<Arc<MetricsRegistry>>,
     pub(crate) trace: Option<Arc<dyn TraceSink>>,
     pub(crate) progress: Option<std::time::Duration>,
-    pub(crate) progress_coverage: Option<Arc<crate::coverage::CoverageMap>>,
 }
 
 /// The engine-internal bundle threading a registry shard and a trace track

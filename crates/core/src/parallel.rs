@@ -11,7 +11,7 @@
 //!
 //! # Worker topology
 //!
-//! Every worker has a shard-local frontier (a [`PrescriptionStrategy`])
+//! Every worker has a shard-local frontier (a [`PathStrategy`])
 //! guarded by its own lock. A worker pushes the prescriptions spawned by
 //! its own paths onto its own shard and pops from it LIFO-deep (under the
 //! default depth-first policy); when its shard runs dry it *steals* from a
@@ -42,7 +42,8 @@
 //! [`PathExecutor::execute_prefix`]) and forgoing cross-query solver
 //! incrementality; the parallel speedup has to buy that back, which it
 //! does on multi-core hardware for the big Table I workloads (see the
-//! `engines` bench). [`crate::SessionBuilder::warm_start`] claws most of
+//! stand-alone `enginebench` package and its `BENCHMARK.json`
+//! workloads). [`crate::SessionBuilder::warm_start`] claws most of
 //! that price back *without* giving up determinism: each worker keeps a
 //! bounded cache keyed by parent input that reuses the parent-prefix
 //! trail and its bit-blast across consecutive prescriptions from the same
@@ -85,10 +86,10 @@ use crate::memory::AddressPolicyKind;
 use crate::metrics::{Counter, InstrumentationConfig, Instruments, Phase};
 use crate::observe::{CheckpointEvent, NullObserver, Observer};
 use crate::persist::{decode_seq, encode_seq, section, Dec, Document, Enc, PersistError, Wire};
-use crate::prescribe::{Flip, PathId, PathRecord, Prescription};
+use crate::prescribe::{PathId, PathRecord, Prescription};
 use crate::session::{ErrorPath, PathExecutor, Progress, Summary};
-use crate::strategy::{FrontierSnapshot, PrescriptionStrategy};
-use crate::warm::WarmCache;
+use crate::strategy::{FrontierSnapshot, PathStrategy};
+use crate::warm::{WarmCache, DEFAULT_WARM_CAPACITY};
 
 /// Factory producing one [`PathExecutor`] per worker thread.
 pub type ExecutorFactory = Arc<dyn Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync>;
@@ -97,9 +98,9 @@ pub type BackendFactory = Arc<dyn Fn() -> Box<dyn SolverBackend> + Send + Sync>;
 /// Factory producing one [`Observer`] per worker thread (argument: worker
 /// index).
 pub type ObserverFactory = Arc<dyn Fn(usize) -> Box<dyn Observer> + Send + Sync>;
-/// Factory producing one shard-local frontier policy per worker thread
-/// (argument: worker index).
-pub type ShardStrategyFactory = Arc<dyn Fn(usize) -> Box<dyn PrescriptionStrategy> + Send + Sync>;
+/// Factory producing a frontier policy (argument: worker index) — the
+/// sequential session's one frontier, or one shard per worker thread.
+pub type StrategyFactory = Arc<dyn Fn(usize) -> Box<dyn PathStrategy> + Send + Sync>;
 
 const _: fn() = || {
     fn assert_send<T: Send>() {}
@@ -346,7 +347,7 @@ fn distribute(frontier: &Frontier, mut bag: Vec<Prescription>) {
 
 /// The shared work-stealing frontier.
 struct Frontier {
-    shards: Vec<Mutex<Box<dyn PrescriptionStrategy>>>,
+    shards: Vec<Mutex<Box<dyn PathStrategy>>>,
     /// Prescriptions sitting in shards.
     pending: AtomicUsize,
     /// Prescriptions taken but not yet fully processed (their spawns are
@@ -359,7 +360,7 @@ struct Frontier {
 }
 
 impl Frontier {
-    fn new(shards: Vec<Box<dyn PrescriptionStrategy>>) -> Self {
+    fn new(shards: Vec<Box<dyn PathStrategy>>) -> Self {
         Frontier {
             shards: shards.into_iter().map(Mutex::new).collect(),
             pending: AtomicUsize::new(0),
@@ -576,14 +577,13 @@ pub struct ParallelSession {
     executor_factory: ExecutorFactory,
     backend_factory: BackendFactory,
     observer_factory: Option<ObserverFactory>,
-    shard_strategy: ShardStrategyFactory,
+    strategy: StrategyFactory,
     fuel: u64,
     limit: Option<u64>,
     input_len: u32,
-    /// Per-worker warm-start cache bound; `None` = cache off (the
-    /// default). See [`crate::warm`] — affects wall time only, never
-    /// results.
-    warm_capacity: Option<usize>,
+    /// Whether each worker keeps a warm-start cache (off by default). See
+    /// [`crate::warm`] — affects wall time only, never results.
+    warm_start: bool,
     /// The word-level static-analysis gate screening flip queries before
     /// any bit-blast (on by default). Affects wall time only, never
     /// merged records.
@@ -627,18 +627,18 @@ impl ParallelSession {
         executor_factory: ExecutorFactory,
         backend_factory: BackendFactory,
         observer_factory: Option<ObserverFactory>,
-        shard_strategy: ShardStrategyFactory,
+        strategy: StrategyFactory,
         fuel: u64,
         limit: Option<u64>,
         input_len: u32,
-        warm_capacity: Option<usize>,
+        warm_start: bool,
         gate: StaticGate,
         instrumentation: InstrumentationConfig,
         persist: PersistPlan,
         policy: AddressPolicyKind,
     ) -> Self {
-        let strategy_name = shard_strategy(0).name();
-        let backend_name = if warm_capacity.is_some() {
+        let strategy_name = strategy(0).name();
+        let backend_name = if warm_start {
             "bitblast-warm"
         } else {
             backend_factory().name()
@@ -648,11 +648,11 @@ impl ParallelSession {
             executor_factory,
             backend_factory,
             observer_factory,
-            shard_strategy,
+            strategy,
             fuel,
             limit,
             input_len,
-            warm_capacity,
+            warm_start,
             gate,
             instrumentation,
             persist,
@@ -704,7 +704,7 @@ impl ParallelSession {
     /// True when the deterministic prefix-keyed warm start is enabled
     /// ([`crate::SessionBuilder::warm_start`]).
     pub fn warm_start(&self) -> bool {
-        self.warm_capacity.is_some()
+        self.warm_start
     }
 
     /// True once [`ParallelSession::run_all`] has completed.
@@ -794,9 +794,8 @@ impl ParallelSession {
         if self.done {
             return Ok(self.summary());
         }
-        let shards: Vec<Box<dyn PrescriptionStrategy>> = (0..self.workers)
-            .map(|i| (self.shard_strategy)(i))
-            .collect();
+        let shards: Vec<Box<dyn PathStrategy>> =
+            (0..self.workers).map(|i| (self.strategy)(i)).collect();
         let mut state = RunState {
             frontier: Frontier::new(shards),
             watermark: self.limit.map(|l| Mutex::new(Watermark::new(l))),
@@ -898,7 +897,7 @@ impl ParallelSession {
                 let backend_factory = Arc::clone(&self.backend_factory);
                 let observer_factory = self.observer_factory.clone();
                 let fuel = self.fuel;
-                let warm_capacity = self.warm_capacity;
+                let warm_start = self.warm_start;
                 let gate = self.gate;
                 let instr = base_instr.for_track(idx as u32);
                 handles.push(scope.spawn(move || {
@@ -909,7 +908,7 @@ impl ParallelSession {
                         &*backend_factory,
                         observer_factory.as_deref(),
                         fuel,
-                        warm_capacity,
+                        warm_start,
                         gate,
                         instr,
                     )
@@ -921,11 +920,10 @@ impl ParallelSession {
             // cannot perturb results.
             let reporter = self.instrumentation.progress.map(|interval| {
                 let registry = self.instrumentation.metrics.clone();
-                let coverage = self.instrumentation.progress_coverage.clone();
                 let state = &state;
                 let stop = &progress_stop;
                 scope.spawn(move || {
-                    let mut progress = Progress::new(interval, coverage);
+                    let mut progress = Progress::new(interval);
                     while !stop.load(Ordering::Relaxed) {
                         std::thread::sleep(Duration::from_millis(20));
                         progress.tick(
@@ -1078,7 +1076,7 @@ fn worker_main(
     backend_factory: &(dyn Fn() -> Box<dyn SolverBackend> + Send + Sync),
     observer_factory: Option<&(dyn Fn(usize) -> Box<dyn Observer> + Send + Sync)>,
     fuel: u64,
-    warm_capacity: Option<usize>,
+    warm_start: bool,
     gate: StaticGate,
     instr: Instruments,
 ) -> Vec<PrescriptionRecord> {
@@ -1094,7 +1092,7 @@ fn worker_main(
         None => Box::new(NullObserver),
     };
     let mut tm = TermManager::new();
-    let mut warm = warm_capacity.map(WarmCache::new);
+    let mut warm = warm_start.then(|| WarmCache::new(DEFAULT_WARM_CAPACITY));
     let mut out = Vec::new();
     // This worker's in-flight slot (checkpointing runs only): `acquire`
     // fills it under the shard lock; the commit below clears it under the
@@ -1400,23 +1398,15 @@ fn materialize(
     instr.count(Counter::Paths, 1);
     observer.on_path(&input, &outcome);
 
-    let forced = p.flip.map_or(0, |f| f.ord + 1);
-    let mut spawned = Vec::new();
-    let mut decisions = Vec::new();
-    for entry in &outcome.trail {
-        if let TrailEntry::Branch { taken, pc, .. } = *entry {
-            let ord = decisions.len();
-            if ord >= forced {
-                spawned.push(Prescription {
-                    id: p.id.child(ord),
-                    input: input.clone(),
-                    flip: Some(Flip { ord, taken, pc }),
-                    policy: p.policy,
-                });
-            }
-            decisions.push(taken);
-        }
-    }
+    let spawned = p.children(&input, &outcome.trail);
+    let decisions = outcome
+        .trail
+        .iter()
+        .filter_map(|entry| match *entry {
+            TrailEntry::Branch { taken, .. } => Some(taken),
+            TrailEntry::Concretize { .. } => None,
+        })
+        .collect();
     let record = PathRecord {
         id: p.id.clone(),
         input,
@@ -1591,15 +1581,15 @@ ok:
     #[test]
     fn shard_policies_do_not_change_merged_results() {
         let reference = parallel(THREE_COMPARES, 2).run_all().unwrap();
-        let policies: [ShardStrategyFactory; 2] = [
-            Arc::new(|_| Box::new(Bfs::<Prescription>::new())),
-            Arc::new(|i| Box::new(RandomRestart::<Prescription>::with_seed(42 + i as u64))),
+        let policies: [StrategyFactory; 2] = [
+            Arc::new(|_| Box::new(Bfs::new())),
+            Arc::new(|i| Box::new(RandomRestart::with_seed(42 + i as u64))),
         ];
         for policy in policies {
             let mut par = Session::builder(Spec::rv32im())
                 .binary(&elf(THREE_COMPARES))
                 .workers(2)
-                .shard_strategy(move |i| policy(i))
+                .strategy(move |i| policy(i))
                 .build_parallel()
                 .unwrap();
             let s = par.run_all().unwrap();
@@ -1790,17 +1780,43 @@ ok:
 
     #[test]
     fn warm_start_with_tiny_capacity_stays_identical() {
+        // Eight independent byte compares: 256 paths, 128 of them parents
+        // — far more per worker than the cache holds, so entries are
+        // evicted and rebuilt throughout. Results must not care.
+        let src = format!(
+            "
+        .data
+__sym_input: .byte 0, 0, 0, 0, 0, 0, 0, 0
+        .text
+_start:
+    la a0, __sym_input
+    li a2, 100
+{}
+    li a0, 0
+    li a7, 93
+    ecall
+",
+            (0..8)
+                .map(|i| format!("    lbu a1, {i}(a0)\n    bltu a1, a2, c{i}\nc{i}:\n"))
+                .collect::<String>()
+        );
+        let workers = 2;
         let reference = {
-            let mut par = parallel(THREE_COMPARES, 2);
+            let mut par = parallel(&src, workers);
             par.run_all().unwrap();
             par
         };
-        // Capacity 1 forces constant eviction — results must not care.
+        let parents: std::collections::HashSet<PathId> = reference
+            .records()
+            .iter()
+            .filter_map(|r| r.id.parent())
+            .collect();
+        assert_eq!(reference.records().len(), 256);
+        assert!(parents.len() > workers * crate::warm::DEFAULT_WARM_CAPACITY);
         let mut warm = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
-            .workers(2)
+            .binary(&elf(&src))
+            .workers(workers)
             .warm_start(true)
-            .warm_capacity(1)
             .build_parallel()
             .unwrap();
         warm.run_all().unwrap();
@@ -1857,15 +1873,6 @@ ok:
             .build_parallel()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }));
-        // Zero capacity is rejected.
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .workers(2)
-            .warm_start(true)
-            .warm_capacity(0)
-            .build_parallel()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig { .. }));
         // warm_start(false) with a backend factory stays fine.
         Session::builder(Spec::rv32im())
             .binary(&elf)
@@ -1917,12 +1924,6 @@ ok:
         let err = Session::builder(Spec::rv32im())
             .binary(&elf)
             .backend(crate::backend::BitblastBackend::new())
-            .build_parallel()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig { .. }));
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .strategy(crate::strategy::Dfs::new())
             .build_parallel()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }));
@@ -2105,7 +2106,7 @@ ok:
         let mut resumed = Session::builder(Spec::rv32im())
             .binary(&elf(THREE_COMPARES))
             .workers(2)
-            .shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
+            .strategy(|_| Box::new(Bfs::new()))
             .resume(&copy)
             .build_parallel()
             .unwrap();

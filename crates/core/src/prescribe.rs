@@ -1,17 +1,17 @@
 //! Replayable path prescriptions: plain-data descriptions of pending paths.
 //!
-//! The sequential [`crate::Session`] continues a pending branch flip *in
-//! place*: the [`crate::Candidate`] it queues carries live [`Term`] handles
-//! into the session's own term manager, so a candidate is only meaningful to
-//! the engine that created it. That coupling is what pins exploration to one
-//! thread — term handles are engine-local (see
-//! [`binsym_smt::TermManager::reset`] on handle hygiene) and the `Rc`-based
-//! observer/executor plumbing is not `Sync`.
+//! The paper's §III-B engine is offline DSE: every path restarts from
+//! scratch, so a pending branch flip is fully named by plain data — the
+//! concrete input of the *parent* path plus the ordinal of the branch to
+//! flip (SAGE's generational search item: Godefroid, Levin, Molnar,
+//! "Automated Whitebox Fuzz Testing", NDSS 2008). A [`Prescription`] is
+//! exactly that pair, carries no engine-local [`Term`] handles, and is
+//! therefore `Send + 'static`: it is the frontier item of both engines.
 //!
-//! A [`Prescription`] breaks the coupling. It identifies the same pending
-//! path with plain data only — the concrete input of the *parent* path plus
-//! the ordinal of the branch to flip — and is therefore `Send + 'static`.
-//! Any engine can *replay* it from scratch:
+//! The sequential [`crate::Session`] keeps each parent's trail while its
+//! children are pending and finds the flip in it with [`Flip::locate`],
+//! solving on its long-lived incremental backend. Any other engine can
+//! *replay* a prescription from scratch:
 //!
 //! 1. re-execute the parent input, recording the symbolic trail up to the
 //!    prescribed branch (execution is deterministic, so the trail is
@@ -78,6 +78,12 @@ impl PathId {
     /// Tree depth (number of flips from the root path).
     pub fn depth(&self) -> usize {
         self.0.len()
+    }
+
+    /// The id of the path this one was flipped from (`None` for the root).
+    pub fn parent(&self) -> Option<PathId> {
+        let (_, ancestors) = self.0.split_last()?;
+        Some(PathId(ancestors.to_vec()))
     }
 }
 
@@ -202,10 +208,28 @@ impl Prescription {
         }
     }
 
-    /// Program counter of the branch site this prescription flips (`None`
-    /// for the root prescription).
-    pub fn branch_pc(&self) -> Option<u32> {
-        self.flip.map(|f| f.pc)
+    /// The prescriptions of the unexplored suffix of the path this
+    /// prescription materialized, given that path's `input` and `trail`:
+    /// one flip per branch past the one this prescription flipped (the
+    /// branches before it are its parent's, already queued), shallow to
+    /// deep. The one place either engine spawns children.
+    pub fn children(&self, input: &[u8], trail: &[TrailEntry]) -> Vec<Prescription> {
+        let first = self.flip.map_or(0, |f| f.ord + 1);
+        trail
+            .iter()
+            .filter_map(|entry| match *entry {
+                TrailEntry::Branch { taken, pc, .. } => Some((taken, pc)),
+                TrailEntry::Concretize { .. } => None,
+            })
+            .enumerate()
+            .skip(first)
+            .map(|(ord, (taken, pc))| Prescription {
+                id: self.id.child(ord),
+                input: input.to_vec(),
+                flip: Some(Flip { ord, taken, pc }),
+                policy: self.policy,
+            })
+            .collect()
     }
 }
 
@@ -284,6 +308,40 @@ mod tests {
         assert!(id(&[7]) < id(&[3]), "deeper sibling flip first");
         assert!(id(&[3, 9]) < id(&[2, 1]), "first divergence decides");
         assert_eq!(id(&[4, 2]).cmp(&id(&[4, 2])), Ordering::Equal);
+    }
+
+    #[test]
+    fn parent_inverts_child() {
+        assert_eq!(id(&[]).parent(), None);
+        assert_eq!(id(&[4]).parent(), Some(id(&[])));
+        assert_eq!(id(&[4, 2]).parent(), Some(id(&[4])));
+    }
+
+    #[test]
+    fn children_flip_only_the_new_suffix() {
+        let mut tm = binsym_smt::TermManager::new();
+        let cond = tm.var("c", 1);
+        let branch = |pc, taken| TrailEntry::Branch { cond, taken, pc };
+        let trail = [branch(0x10, true), branch(0x14, false), branch(0x18, true)];
+        let root = Prescription::root(vec![0], AddressPolicyKind::default());
+        let from_root = root.children(&[7], &trail);
+        let ords: Vec<_> = from_root.iter().map(|c| c.flip.unwrap().ord).collect();
+        assert_eq!(ords, [0, 1, 2], "the root path spawns every branch");
+        assert_eq!(from_root[1].id, id(&[1]));
+        assert_eq!(from_root[1].input, [7]);
+        assert_eq!(
+            from_root[1].flip,
+            Some(Flip {
+                ord: 1,
+                taken: false,
+                pc: 0x14
+            })
+        );
+        // A child flipped at ordinal 1 inherits ordinals 0..=1 from its
+        // parent and spawns only the deeper branch.
+        let deeper = from_root[1].children(&[9], &trail);
+        assert_eq!(deeper.len(), 1);
+        assert_eq!(deeper[0].id, id(&[1, 2]));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! # ").unwrap();
 //! let mut session = Session::builder(Spec::rv32im())
 //!     .binary(&elf)
-//!     .strategy(Dfs::new())
+//!     .strategy(|_| Box::new(Dfs::new()))
 //!     .backend(BitblastBackend::new())
 //!     .build()?;
 //! let summary = session.run_all()?;
@@ -35,9 +35,12 @@
 //!
 //! The exploration algorithm itself is the paper's §III-B offline DSE: the
 //! SUT restarts from scratch per path under a concrete solver-provided
-//! input; completed trails contribute flip candidates to the strategy's
-//! frontier; a candidate's prefix plus negated branch condition is handed
-//! to the backend, and a model of a feasible flip seeds the next run.
+//! input; completed trails contribute flip [`Prescription`]s to the
+//! strategy's frontier — the same plain-data items the parallel engine
+//! schedules; a popped flip's prefix (from its parent's trail, kept while
+//! the parent has pending children) plus negated branch condition is
+//! handed to the backend, and a model of a feasible flip seeds the next
+//! run.
 //!
 //! The backend's assertion frames mirror the path being explored: one
 //! frame per path term, and a query pops only the frames past the prefix
@@ -51,6 +54,7 @@
 //! 47.6k problem clauses per check on base64-encode, aligned frames keep
 //! 8.2k.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,18 +63,16 @@ use binsym_isa::Spec;
 use binsym_smt::{SatResult, Term, TermManager};
 
 use crate::backend::{BitblastBackend, SolverBackend, StaticGate};
-use crate::coverage::CoverageMap;
 use crate::error::Error;
 use crate::machine::{StepResult, SymMachine, TrailEntry};
 use crate::memory::AddressPolicyKind;
 use crate::metrics::{Counter, Instruments, MetricsRegistry, Phase};
 use crate::observe::{NullObserver, Observer};
 use crate::parallel::{
-    BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, PersistPlan,
-    ShardStrategyFactory,
+    BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, PersistPlan, StrategyFactory,
 };
-use crate::prescribe::{Flip, PathId, Prescription};
-use crate::strategy::{Candidate, Dfs, PathStrategy, PrescriptionStrategy};
+use crate::prescribe::{witness_bytes, PathId, Prescription};
+use crate::strategy::{Dfs, PathStrategy};
 use crate::trace::TraceSink;
 use crate::SYM_INPUT_SYMBOL;
 
@@ -357,18 +359,16 @@ impl PathExecutor for SpecExecutor {
 /// (replicable custom engine, usable by worker threads).
 ///
 /// Sequential and parallel sessions grow from the same builder: the shared
-/// knobs (`binary`, `limit`, `fuel`, `input_len`) apply to both, while the
-/// engine *instances* (`strategy`, `backend`, `observer`, `executor`) are
-/// sequential-only — worker threads cannot share them — and have `Send`
-/// *factory* counterparts (`shard_strategy`, `backend_factory`,
-/// `observer_factory`, `executor_factory`) consumed by
-/// [`SessionBuilder::build_parallel`].
+/// knobs (`binary`, `strategy`, `limit`, `fuel`, `input_len`) apply to
+/// both, while the engine *instances* (`backend`, `observer`, `executor`)
+/// are sequential-only — worker threads cannot share them — and have
+/// `Send` *factory* counterparts (`backend_factory`, `observer_factory`,
+/// `executor_factory`) consumed by [`SessionBuilder::build_parallel`].
 pub struct SessionBuilder {
     spec: Option<Spec>,
     elf: Option<ElfFile>,
     executor: Option<Box<dyn PathExecutor>>,
-    strategy: Box<dyn PathStrategy>,
-    strategy_set: bool,
+    strategy: StrategyFactory,
     backend: Box<dyn SolverBackend>,
     backend_set: bool,
     observer: Box<dyn Observer>,
@@ -381,15 +381,12 @@ pub struct SessionBuilder {
     executor_factory: Option<ExecutorFactory>,
     backend_factory: Option<BackendFactory>,
     observer_factory: Option<ObserverFactory>,
-    shard_strategy: Option<ShardStrategyFactory>,
     warm_start: bool,
-    warm_capacity: Option<usize>,
     static_analysis: bool,
     sa_shadow: bool,
     metrics: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<dyn TraceSink>>,
     progress: Option<Duration>,
-    progress_coverage: Option<Arc<CoverageMap>>,
     checkpoint: Option<(std::path::PathBuf, u64)>,
     resume: Option<std::path::PathBuf>,
 }
@@ -397,7 +394,6 @@ pub struct SessionBuilder {
 impl std::fmt::Debug for SessionBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionBuilder")
-            .field("strategy", &self.strategy.name())
             .field("backend", &self.backend.name())
             .field("limit", &self.limit)
             .field("fuel", &self.fuel)
@@ -422,11 +418,16 @@ impl SessionBuilder {
         self
     }
 
-    /// Path-selection strategy (default: [`Dfs`], the paper's policy).
-    /// Sequential-only; parallel sessions take [`SessionBuilder::shard_strategy`].
-    pub fn strategy(mut self, strategy: impl PathStrategy + 'static) -> Self {
-        self.strategy = Box::new(strategy);
-        self.strategy_set = true;
+    /// Factory producing the path-selection frontier, receiving the
+    /// worker index (default: [`Dfs`], the paper's policy). `build()`
+    /// calls it once with index 0; `build_parallel()` once per worker, for
+    /// each shard-local frontier — there the policy affects *scheduling
+    /// only*: the merged results are canonical for any policy.
+    pub fn strategy(
+        mut self,
+        factory: impl Fn(usize) -> Box<dyn PathStrategy> + Send + Sync + 'static,
+    ) -> Self {
+        self.strategy = Arc::new(factory);
         self
     }
 
@@ -493,23 +494,14 @@ impl SessionBuilder {
         self
     }
 
-    /// Factory producing each worker's shard-local frontier policy,
-    /// receiving the worker index (default: depth-first). Affects
-    /// *scheduling only*: the merged results are canonical for any policy.
-    pub fn shard_strategy(
-        mut self,
-        factory: impl Fn(usize) -> Box<dyn PrescriptionStrategy> + Send + Sync + 'static,
-    ) -> Self {
-        self.shard_strategy = Some(std::sync::Arc::new(factory));
-        self
-    }
-
     /// Enables the deterministic prefix-keyed solver warm start for
     /// parallel sessions (default: off). Each worker keeps a bounded
     /// cache keyed by parent concrete input: the parent-prefix trail is
     /// executed once and reused, and the prefix's bit-blast is held open
     /// in a reusable solver context with each flip solved in a disposable
-    /// frame on top. The cache affects **wall time only, never models** —
+    /// frame on top. The cache holds [`crate::warm::DEFAULT_WARM_CAPACITY`]
+    /// parent contexts per worker, evicting least-recently-used ones, and
+    /// affects **wall time only, never models** —
     /// merged records stay byte-identical to a cache-off run on every
     /// worker count, schedule, and hit pattern (see [`crate::warm`]).
     ///
@@ -518,18 +510,6 @@ impl SessionBuilder {
     /// [`SessionBuilder::backend_factory`], which the warm path replaces.
     pub fn warm_start(mut self, enabled: bool) -> Self {
         self.warm_start = enabled;
-        self
-    }
-
-    /// Bounds the warm-start cache to `contexts` resident parent contexts
-    /// per worker (default: [`crate::warm::DEFAULT_WARM_CAPACITY`]) and
-    /// implies [`SessionBuilder::warm_start`]`(true)` — setting a cache
-    /// size for a disabled cache would otherwise be a silent no-op.
-    /// Eviction is least-recently-used; like every other cache knob it
-    /// changes wall time only, never results. Must be nonzero.
-    pub fn warm_capacity(mut self, contexts: usize) -> Self {
-        self.warm_start = true;
-        self.warm_capacity = Some(contexts);
         self
     }
 
@@ -594,13 +574,6 @@ impl SessionBuilder {
     /// private one is created. Must be nonzero.
     pub fn progress(mut self, interval: Duration) -> Self {
         self.progress = Some(interval);
-        self
-    }
-
-    /// Adds covered-PC counts from `map` to the progress report (pair with
-    /// the same shared map fed by [`crate::CoverageObserver`]s).
-    pub fn progress_coverage(mut self, map: Arc<CoverageMap>) -> Self {
-        self.progress_coverage = Some(map);
         self
     }
 
@@ -680,11 +653,6 @@ impl SessionBuilder {
                 what: "per-path fuel must be nonzero",
             });
         }
-        if self.warm_capacity == Some(0) {
-            return Err(Error::InvalidConfig {
-                what: "warm-start capacity must be nonzero",
-            });
-        }
         if self.progress == Some(Duration::ZERO) {
             return Err(Error::InvalidConfig {
                 what: "progress interval must be nonzero",
@@ -739,9 +707,7 @@ impl SessionBuilder {
             });
         }
         let instr = Instruments::new(self.effective_metrics(1), self.trace.clone(), 0);
-        let progress = self
-            .progress
-            .map(|interval| Progress::new(interval, self.progress_coverage.clone()));
+        let progress = self.progress.map(Progress::new);
         let executor = match (self.executor, self.executor_factory, self.elf) {
             (Some(exec), _, _) => exec,
             (None, Some(factory), _) => factory()?,
@@ -772,20 +738,18 @@ impl SessionBuilder {
                 });
             }
         }
-        let input_len = executor.input_len();
-        let policy = executor.policy();
+        let root = Prescription::root(vec![0u8; executor.input_len() as usize], executor.policy());
         Ok(Session {
             executor,
-            policy,
             tm: TermManager::new(),
-            strategy: self.strategy,
+            strategy: (self.strategy)(0),
             backend: self.backend,
             observer: self.observer,
             gate: StaticGate::new(self.static_analysis, self.sa_shadow),
             fuel: self.fuel,
             max_paths: self.limit,
-            next_input: Some((PathId::root(), vec![0u8; input_len as usize])),
-            forced_depth: 0,
+            next: Some((root.input.clone(), root)),
+            parents: HashMap::new(),
             asserted: Vec::new(),
             done: false,
             summary: Summary::default(),
@@ -819,11 +783,6 @@ impl SessionBuilder {
                 what: "a boxed executor cannot be shared across workers: use `executor_factory`",
             });
         }
-        if self.strategy_set {
-            return Err(Error::InvalidConfig {
-                what: "`strategy` is sequential-only: use `shard_strategy` for parallel sessions",
-            });
-        }
         if self.backend_set {
             return Err(Error::InvalidConfig {
                 what: "`backend` is sequential-only: use `backend_factory` for parallel sessions",
@@ -850,7 +809,6 @@ impl SessionBuilder {
             metrics: self.effective_metrics(workers),
             trace: self.trace.clone(),
             progress: self.progress,
-            progress_coverage: self.progress_coverage.clone(),
         };
         let executor_factory: ExecutorFactory = match (self.executor_factory, self.elf) {
             (Some(factory), _) => factory,
@@ -884,23 +842,16 @@ impl SessionBuilder {
         let backend_factory: BackendFactory = self
             .backend_factory
             .unwrap_or_else(|| std::sync::Arc::new(|| Box::new(BitblastBackend::new())));
-        let shard_strategy: ShardStrategyFactory = self
-            .shard_strategy
-            .unwrap_or_else(|| std::sync::Arc::new(|_| Box::new(Dfs::<Prescription>::new())));
-        let warm_capacity = self.warm_start.then(|| {
-            self.warm_capacity
-                .unwrap_or(crate::warm::DEFAULT_WARM_CAPACITY)
-        });
         Ok(ParallelSession::new(
             workers,
             executor_factory,
             backend_factory,
             self.observer_factory,
-            shard_strategy,
+            self.strategy,
             self.fuel,
             self.limit,
             input_len,
-            warm_capacity,
+            self.warm_start,
             StaticGate::new(self.static_analysis, self.sa_shadow),
             instrumentation,
             PersistPlan {
@@ -920,8 +871,6 @@ impl SessionBuilder {
 /// [module docs](self) for the full picture and an example.
 pub struct Session {
     executor: Box<dyn PathExecutor>,
-    /// The executor's address policy, recorded into every prescription.
-    policy: AddressPolicyKind,
     tm: TermManager,
     strategy: Box<dyn PathStrategy>,
     backend: Box<dyn SolverBackend>,
@@ -929,12 +878,14 @@ pub struct Session {
     gate: StaticGate,
     fuel: u64,
     max_paths: Option<u64>,
-    /// Identity and input of the next path, when already known (the
-    /// initial all-zero root input, or a model found eagerly).
-    next_input: Option<(PathId, Vec<u8>)>,
-    /// Branches below this ordinal are already queued from earlier paths
-    /// and must not be re-queued (they are shared prefix).
-    forced_depth: usize,
+    /// Input of the next path and the prescription it materializes, when
+    /// already known (the initial all-zero root input, or a model found
+    /// eagerly).
+    next: Option<(Vec<u8>, Prescription)>,
+    /// Trails of explored paths with queued children, keyed by path id:
+    /// a popped flip's query prefix is read from its parent's entry, which
+    /// is dropped when its last child pops.
+    parents: HashMap<PathId, Parent>,
     /// Path terms live in the backend, one frame each, bottom first: the
     /// last query's prefix and flipped term (see [`Session::solve_next`]).
     asserted: Vec<Term>,
@@ -946,13 +897,19 @@ pub struct Session {
     progress: Option<Progress>,
 }
 
+/// An explored path whose children are still queued.
+struct Parent {
+    trail: Vec<TrailEntry>,
+    /// Children not yet popped.
+    pending: usize,
+}
+
 /// State of the opt-in stderr progress reporter. The sequential session
 /// ticks it from the exploration loop itself (thread-free, at most one
 /// line per interval); a parallel session ticks it from a dedicated
 /// reporter thread.
 pub(crate) struct Progress {
     interval: Duration,
-    coverage: Option<Arc<CoverageMap>>,
     started: Instant,
     last: Instant,
     last_paths: u64,
@@ -960,10 +917,9 @@ pub(crate) struct Progress {
 }
 
 impl Progress {
-    pub(crate) fn new(interval: Duration, coverage: Option<Arc<CoverageMap>>) -> Self {
+    pub(crate) fn new(interval: Duration) -> Self {
         Progress {
             interval,
-            coverage,
             started: Instant::now(),
             last: Instant::now(),
             last_paths: 0,
@@ -997,9 +953,6 @@ impl Progress {
         if let Some(depth) = frontier_depth {
             let _ = write!(line, " frontier={depth}");
         }
-        if let Some(map) = &self.coverage {
-            let _ = write!(line, " covered={}", map.covered_count());
-        }
         eprintln!("{line}");
         self.last = now;
         self.last_paths = paths;
@@ -1024,8 +977,7 @@ impl Session {
             spec: None,
             elf: None,
             executor: None,
-            strategy: Box::new(Dfs::<Candidate>::new()),
-            strategy_set: false,
+            strategy: Arc::new(|_| Box::new(Dfs::new())),
             backend: Box::new(BitblastBackend::new()),
             backend_set: false,
             observer: Box::new(NullObserver),
@@ -1038,15 +990,12 @@ impl Session {
             executor_factory: None,
             backend_factory: None,
             observer_factory: None,
-            shard_strategy: None,
             warm_start: false,
-            warm_capacity: None,
             static_analysis: true,
             sa_shadow: false,
             metrics: None,
             trace: None,
             progress: None,
-            progress_coverage: None,
             checkpoint: None,
             resume: None,
         }
@@ -1157,20 +1106,25 @@ impl Session {
     }
 
     /// Core of the lazy loop: executes one path and queues its flip
-    /// candidates; solves for the next input only when none is staged.
+    /// prescriptions; solves for the next input only when none is staged.
     fn next_path(&mut self) -> Option<Result<PathOutcome, Error>> {
         if self.done {
             return None;
         }
-        let (path_id, input) = match self.next_input.take() {
-            Some(i) => i,
-            None => match self.solve_next() {
-                Some(i) => i,
-                None => {
-                    self.done = true;
-                    return None;
-                }
-            },
+        let next = match self.next.take() {
+            Some(staged) => Ok(Some(staged)),
+            None => self.solve_next(),
+        };
+        let (input, prescription) = match next {
+            Ok(Some(next)) => next,
+            Ok(None) => {
+                self.done = true;
+                return None;
+            }
+            Err(e) => {
+                self.done = true;
+                return Some(Err(e));
+            }
         };
         let started = self.instr.begin(Phase::Execute);
         let outcome =
@@ -1217,37 +1171,25 @@ impl Session {
             return Some(Ok(outcome));
         }
 
-        // Queue flip candidates for the new suffix of this path's trail.
-        let mut branch_ord = 0usize;
-        for (i, entry) in outcome.trail.iter().enumerate() {
-            if let TrailEntry::Branch { cond, taken, pc } = *entry {
-                if branch_ord >= self.forced_depth {
-                    self.strategy.push(Candidate {
-                        prefix: outcome.trail[..i].to_vec(),
-                        cond,
-                        taken,
-                        branch_ord,
-                        prescription: Prescription {
-                            id: path_id.child(branch_ord),
-                            input: outcome.input.clone(),
-                            flip: Some(Flip {
-                                ord: branch_ord,
-                                taken,
-                                pc,
-                            }),
-                            policy: self.policy,
-                        },
-                    });
-                }
-                branch_ord += 1;
+        let children = prescription.children(&input, &outcome.trail);
+        if !children.is_empty() {
+            self.parents.insert(
+                prescription.id,
+                Parent {
+                    trail: outcome.trail.clone(),
+                    pending: children.len(),
+                },
+            );
+            for child in children {
+                self.strategy.push(child);
             }
         }
         Some(Ok(outcome))
     }
 
-    /// Pops frontier candidates until a feasible flip is found, returning
-    /// the new path's identity and the model's input bytes (and updating
-    /// `forced_depth`), or `None` when the frontier is exhausted.
+    /// Pops frontier prescriptions until a feasible flip is found,
+    /// returning the model's input bytes and the prescription they
+    /// materialize, or `None` when the frontier is exhausted.
     ///
     /// The backend's frames mirror the path (see the [module docs](self)):
     /// a query pops the frames past the longest prefix it shares with
@@ -1257,36 +1199,23 @@ impl Session {
     /// touching the backend and other strategies jump between subtrees, so
     /// the shared prefix is found by comparing term handles, never by
     /// trusting depth.
-    fn solve_next(&mut self) -> Option<(PathId, Vec<u8>)> {
-        while let Some(cand) = self.strategy.pop() {
-            // Terms are interned in the same order whether or not the gate
-            // screens the query, so analysis-on and analysis-off runs see
-            // identical term handles (and hence identical CNF and models).
-            let mut query: Vec<_> = cand
-                .prefix
-                .iter()
-                .map(|e| e.path_term(&mut self.tm))
-                .collect();
-            let flipped = if cand.taken {
-                self.tm.not(cand.cond)
-            } else {
-                cand.cond
-            };
-            let screened = self.gate.screen_instrumented(
-                &self.instr,
-                &mut self.tm,
-                &query,
-                flipped,
-                &cand.prescription.input,
-            );
+    ///
+    /// # Errors
+    /// [`Error::ReplayDivergence`] when a flip does not name a branch of
+    /// its parent's trail (the guards of [`crate::Flip::locate`]).
+    fn solve_next(&mut self) -> Result<Option<(Vec<u8>, Prescription)>, Error> {
+        while let Some(p) = self.strategy.pop() {
+            let (mut query, flipped) = self.flip_query(&p)?;
+            let screened =
+                self.gate
+                    .screen_instrumented(&self.instr, &mut self.tm, &query, flipped, &p.input);
             if let Some(report) = screened {
                 if let Some((r, bytes)) = report.verdict {
                     // Eliminated: no backend call, no `on_query`.
                     match r {
                         SatResult::Sat => {
                             let bytes = bytes.expect("sat verdict carries witness bytes");
-                            self.forced_depth = cand.branch_ord + 1;
-                            return Some((cand.prescription.id, bytes));
+                            return Ok(Some((bytes, p)));
                         }
                         SatResult::Unsat => continue,
                     }
@@ -1317,14 +1246,36 @@ impl Session {
             self.observer.on_query(r);
             if r == SatResult::Sat {
                 let model = self.backend.model(&self.tm).expect("sat has model");
-                let bytes = (0..self.executor.input_len())
-                    .map(|i| model.value(&format!("in{i}")).unwrap_or(0) as u8)
-                    .collect();
-                self.forced_depth = cand.branch_ord + 1;
-                return Some((cand.prescription.id, bytes));
+                return Ok(Some((witness_bytes(&model, self.executor.input_len()), p)));
             }
         }
-        None
+        Ok(None)
+    }
+
+    /// The flip query of popped prescription `p`: its parent's path terms
+    /// before the flipped branch, and the flipped condition. Releases the
+    /// parent's trail once `p` was its last pending child.
+    fn flip_query(&mut self, p: &Prescription) -> Result<(Vec<Term>, Term), Error> {
+        let flip = p.flip.expect("the root prescription is never queued");
+        let parent_id = p.id.parent().expect("a flip has a parent path");
+        let parent = self
+            .parents
+            .get_mut(&parent_id)
+            .expect("a parent's trail is kept while it has queued children");
+        parent.pending -= 1;
+        let (i, cond) = flip.locate(&parent.trail)?;
+        // Terms are interned in the same order whether or not the gate
+        // screens the query, so analysis-on and analysis-off runs see
+        // identical term handles (and hence identical CNF and models).
+        let prefix = parent.trail[..i]
+            .iter()
+            .map(|e| e.path_term(&mut self.tm))
+            .collect();
+        let flipped = if flip.taken { self.tm.not(cond) } else { cond };
+        if parent.pending == 0 {
+            self.parents.remove(&parent_id);
+        }
+        Ok((prefix, flipped))
     }
 }
 
@@ -1595,19 +1546,19 @@ c4:
 
     #[test]
     fn all_strategies_enumerate_the_same_path_set() {
-        let run = |strategy: Box<dyn PathStrategy>| {
+        let run = |make: fn() -> Box<dyn PathStrategy>| {
             let elf = Assembler::new().assemble(THREE_COMPARES).unwrap();
             Session::builder(Spec::rv32im())
                 .binary(&elf)
-                .strategy(strategy)
+                .strategy(move |_| make())
                 .build()
                 .unwrap()
                 .run_all()
                 .unwrap()
         };
-        let dfs = run(Box::<Dfs>::default());
-        let bfs = run(Box::<Bfs>::default());
-        let rnd = run(Box::<RandomRestart>::default());
+        let dfs = run(|| Box::new(Dfs::new()));
+        let bfs = run(|| Box::new(Bfs::new()));
+        let rnd = run(|| Box::new(RandomRestart::new()));
         assert_eq!(dfs.paths, 8);
         assert_eq!(bfs.paths, 8, "bfs misses paths");
         assert_eq!(rnd.paths, 8, "random-restart misses paths");
@@ -1802,41 +1753,63 @@ next:
         asserts: u64,
         checks: u64,
         /// `check_sat` calls whose live assertions were not the last
-        /// popped candidate's prefix terms followed by its flipped term.
+        /// popped prescription's prefix terms followed by its flipped term.
         misaligned: u64,
     }
 
-    /// A strategy that remembers the candidate it handed out last.
+    /// A strategy that remembers the prescription it handed out last.
     #[derive(Debug)]
     struct LastPopped {
         inner: Box<dyn PathStrategy>,
-        last: Rc<RefCell<Option<Candidate>>>,
+        last: Arc<std::sync::Mutex<Option<Prescription>>>,
     }
 
     impl PathStrategy for LastPopped {
         fn name(&self) -> &'static str {
             self.inner.name()
         }
-        fn push(&mut self, candidate: Candidate) {
-            self.inner.push(candidate);
+        fn push(&mut self, prescription: Prescription) {
+            self.inner.push(prescription);
         }
-        fn pop(&mut self) -> Option<Candidate> {
-            let cand = self.inner.pop();
-            self.last.replace(cand.clone());
-            cand
+        fn pop(&mut self) -> Option<Prescription> {
+            let p = self.inner.pop();
+            *self.last.lock().unwrap() = p.clone();
+            p
         }
         fn frontier_len(&self) -> usize {
             self.inner.frontier_len()
         }
+        fn snapshot(&self) -> crate::strategy::FrontierSnapshot {
+            self.inner.snapshot()
+        }
+        fn restore(&mut self, snapshot: crate::strategy::FrontierSnapshot) {
+            self.inner.restore(snapshot);
+        }
     }
 
-    /// Backend wrapper checking every query against the candidate the
+    /// Every explored path's trail, keyed by its input — the parent input
+    /// a prescription names.
+    type Trails = Rc<RefCell<std::collections::HashMap<Vec<u8>, Vec<TrailEntry>>>>;
+
+    /// Observer filling [`Trails`].
+    struct TrailLog(Trails);
+
+    impl Observer for TrailLog {
+        fn on_path(&mut self, input: &[u8], outcome: &PathOutcome) {
+            self.0
+                .borrow_mut()
+                .insert(input.to_vec(), outcome.trail.clone());
+        }
+    }
+
+    /// Backend wrapper checking every query against the prescription the
     /// strategy popped last (the one being discharged).
     #[derive(Debug)]
     struct FrameRecorder {
         inner: BitblastBackend,
         frames: Vec<Vec<Term>>,
-        last: Rc<RefCell<Option<Candidate>>>,
+        last: Arc<std::sync::Mutex<Option<Prescription>>>,
+        trails: Trails,
         log: Rc<RefCell<FrameLog>>,
     }
 
@@ -1860,13 +1833,16 @@ next:
             self.inner.assert_term(tm, t);
         }
         fn check_sat(&mut self, tm: &mut TermManager) -> SatResult {
-            let cand = self.last.borrow().clone().expect("a candidate was popped");
-            let mut expected: Vec<Term> = cand.prefix.iter().map(|e| e.path_term(tm)).collect();
-            expected.push(if cand.taken {
-                tm.not(cand.cond)
-            } else {
-                cand.cond
-            });
+            let p = self.last.lock().unwrap().clone();
+            let p = p.expect("a prescription was popped");
+            let flip = p.flip.expect("a queued flip");
+            let trails = self.trails.borrow();
+            let trail = &trails[&p.input];
+            let (i, cond) = flip
+                .locate(trail)
+                .expect("the flip is on its parent's trail");
+            let mut expected: Vec<Term> = trail[..i].iter().map(|e| e.path_term(tm)).collect();
+            expected.push(if flip.taken { tm.not(cond) } else { cond });
             let live: Vec<Term> = self.frames.iter().flatten().copied().collect();
             let mut log = self.log.borrow_mut();
             log.checks += 1;
@@ -1885,22 +1861,28 @@ next:
     /// Explores [`SIX_COMPARES`] through [`LastPopped`] and
     /// [`FrameRecorder`], checking the frame invariants every strategy
     /// must keep.
-    fn frame_log(strategy: Box<dyn PathStrategy>, analysis: bool) -> FrameLog {
+    fn frame_log(make: fn() -> Box<dyn PathStrategy>, analysis: bool) -> FrameLog {
         let elf = Assembler::new().assemble(SIX_COMPARES).unwrap();
-        let what = format!("{} analysis {analysis}", strategy.name());
-        let last = Rc::new(RefCell::new(None));
+        let what = format!("{} analysis {analysis}", make().name());
+        let last = Arc::new(std::sync::Mutex::new(None));
+        let trails = Trails::default();
         let log = Rc::new(RefCell::new(FrameLog::default()));
+        let popped = Arc::clone(&last);
         let s = Session::builder(Spec::rv32im())
             .binary(&elf)
             .static_analysis(analysis)
-            .strategy(LastPopped {
-                inner: strategy,
-                last: Rc::clone(&last),
+            .strategy(move |_| {
+                Box::new(LastPopped {
+                    inner: make(),
+                    last: Arc::clone(&popped),
+                })
             })
+            .observer(TrailLog(Rc::clone(&trails)))
             .backend(FrameRecorder {
                 inner: BitblastBackend::new(),
                 frames: vec![Vec::new()],
                 last,
+                trails,
                 log: Rc::clone(&log),
             })
             .build()
@@ -1925,7 +1907,7 @@ next:
     #[test]
     fn backend_frames_follow_the_dfs_path() {
         for analysis in [false, true] {
-            let log = frame_log(Box::<Dfs>::default(), analysis);
+            let log = frame_log(|| Box::new(Dfs::new()), analysis);
             // Re-asserting each query's whole prefix would cost about
             // `checks` × prefix depth assertions here.
             assert!(
@@ -1942,8 +1924,8 @@ next:
         // Breadth-first and random orders leave the live frames on another
         // subtree, so only comparing term handles finds the shared prefix.
         for analysis in [false, true] {
-            frame_log(Box::<Bfs>::default(), analysis);
-            frame_log(Box::<RandomRestart>::default(), analysis);
+            frame_log(|| Box::new(Bfs::new()), analysis);
+            frame_log(|| Box::new(RandomRestart::new()), analysis);
         }
     }
 

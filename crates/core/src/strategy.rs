@@ -3,17 +3,13 @@
 //! The exploration loop maintains a *frontier* of pending branch flips.
 //! Which entry is discharged next is the search policy — the paper's engine
 //! hard-wires depth-first selection (§III-B), but the policy is orthogonal
-//! to both the executor and the solver, so it is a pluggable seam. The
-//! worklist structures are generic over the item they schedule and serve
-//! two frontiers:
-//!
-//! * the **sequential** frontier of [`crate::Session`], holding
-//!   [`Candidate`]s (live term handles, continued in place) behind the
-//!   [`PathStrategy`] trait;
-//! * the **shard-local** frontiers of [`crate::ParallelSession`], holding
-//!   plain-data [`Prescription`]s behind the [`PrescriptionStrategy`]
-//!   trait — the same policies, plus a [`steal`](PrescriptionStrategy::steal)
-//!   end for idle workers.
+//! to both the executor and the solver, so it is a pluggable seam. Every
+//! frontier item is a plain-data [`Prescription`] (parent input plus the
+//! branch ordinal to flip — SAGE's generational search item), so one
+//! [`PathStrategy`] trait serves both engines: the single frontier of
+//! [`crate::Session`] and the shard-local frontiers of
+//! [`crate::ParallelSession`], which add a
+//! [`steal`](PathStrategy::steal) end for idle workers.
 //!
 //! The policies:
 //!
@@ -39,14 +35,11 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use binsym_smt::Term;
-
 use crate::coverage::{CoverageMap, CoverageSnapshot};
-use crate::machine::TrailEntry;
 use crate::prescribe::Prescription;
 
-/// A plain-data copy of one shard's [`PrescriptionStrategy`] state, as
-/// captured by [`PrescriptionStrategy::snapshot`] and persisted by the
+/// A plain-data copy of one frontier's [`PathStrategy`] state, as
+/// captured by [`PathStrategy::snapshot`] and persisted by the
 /// [`crate::persist`] codec.
 ///
 /// The snapshot carries everything a policy needs to resume *exactly* where
@@ -56,7 +49,7 @@ use crate::prescribe::Prescription;
 /// ranking, it never changes the merged results).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierSnapshot {
-    /// The policy's [`PrescriptionStrategy::name`], checked on restore.
+    /// The policy's [`PathStrategy::name`], checked on restore.
     pub strategy: String,
     /// Pending prescriptions in the policy's internal storage order.
     pub items: Vec<Prescription>,
@@ -78,85 +71,30 @@ impl FrontierSnapshot {
     }
 }
 
-/// A pending branch flip on the sequential frontier: live term handles
-/// plus, in [`Candidate::prescription`], the plain-data form that lets the
-/// same pending path be replayed on a fresh engine.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    /// Trail entries preceding the flipped branch (the path-condition
-    /// prefix that must hold for the flip to be meaningful).
-    pub prefix: Vec<TrailEntry>,
-    /// The branch condition being flipped.
-    pub cond: Term,
-    /// Direction it was taken originally (the flip asserts the opposite).
-    pub taken: bool,
-    /// Ordinal of the branch among the path's *branch* entries.
-    pub branch_ord: usize,
-    /// Replayable plain-data identity of this pending path.
-    pub prescription: Prescription,
-}
-
-/// A worklist policy deciding which pending branch flip to discharge next.
-///
-/// Implementations must hand back every pushed candidate exactly once (in
-/// any order); the [`crate::Session`] loop handles feasibility checking and
-/// deduplication of the shared prefix.
-pub trait PathStrategy: fmt::Debug {
-    /// Human-readable policy name (for logs and summaries).
-    fn name(&self) -> &'static str;
-
-    /// Adds a candidate to the frontier.
-    fn push(&mut self, candidate: Candidate);
-
-    /// Removes and returns the next candidate to try, or `None` when the
-    /// frontier is exhausted.
-    fn pop(&mut self) -> Option<Candidate>;
-
-    /// Number of pending candidates.
-    fn frontier_len(&self) -> usize;
-}
-
-impl PathStrategy for Box<dyn PathStrategy> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn push(&mut self, candidate: Candidate) {
-        (**self).push(candidate);
-    }
-
-    fn pop(&mut self) -> Option<Candidate> {
-        (**self).pop()
-    }
-
-    fn frontier_len(&self) -> usize {
-        (**self).frontier_len()
-    }
-}
-
-/// A shard-local worklist policy over plain-data [`Prescription`]s, used by
-/// the worker threads of [`crate::ParallelSession`].
-///
-/// Each worker owns one instance and pushes/pops through it; idle workers
-/// *steal* from a victim's instance through [`PrescriptionStrategy::steal`],
-/// which should hand out the entry the owner would schedule **last** (the
-/// classic work-stealing discipline: the thief takes the biggest pending
-/// subtree, minimizing contention on the owner's hot end).
+/// A worklist policy deciding which pending [`Prescription`] to discharge
+/// next — the frontier of both engines. The sequential [`crate::Session`]
+/// owns one instance; each worker of a [`crate::ParallelSession`] owns
+/// one shard-local instance, and idle workers *steal* from a victim's
+/// through [`PathStrategy::steal`], which should hand out the entry the
+/// owner would schedule **last** (the classic work-stealing discipline:
+/// the thief takes the biggest pending subtree, minimizing contention on
+/// the owner's hot end).
 ///
 /// The policy only shapes scheduling; every pushed prescription must be
 /// handed out exactly once across `pop` and `steal`.
-pub trait PrescriptionStrategy: fmt::Debug + Send {
+pub trait PathStrategy: fmt::Debug + Send {
     /// Human-readable policy name (for logs and summaries).
     fn name(&self) -> &'static str;
 
-    /// Adds a prescription to this shard's frontier.
+    /// Adds a prescription to the frontier.
     fn push(&mut self, prescription: Prescription);
 
-    /// Removes and returns the owner's next prescription.
+    /// Removes and returns the owner's next prescription, or `None` when
+    /// the frontier is exhausted.
     fn pop(&mut self) -> Option<Prescription>;
 
     /// Removes and returns a prescription for a *stealing* worker
-    /// (default: same as [`PrescriptionStrategy::pop`]).
+    /// (default: same as [`PathStrategy::pop`]).
     fn steal(&mut self) -> Option<Prescription> {
         self.pop()
     }
@@ -164,89 +102,45 @@ pub trait PrescriptionStrategy: fmt::Debug + Send {
     /// Number of pending prescriptions.
     fn frontier_len(&self) -> usize;
 
-    /// Captures this shard's full scheduling state — pending items in
-    /// internal order plus any policy-private state (RNG, coverage) — so a
-    /// checkpoint can [`restore`](PrescriptionStrategy::restore) it and
-    /// continue with the identical pop sequence.
+    /// Captures the full scheduling state — pending items in internal
+    /// order plus any policy-private state (RNG, coverage) — so a
+    /// checkpoint can [`restore`](PathStrategy::restore) it and continue
+    /// with the identical pop sequence.
     fn snapshot(&self) -> FrontierSnapshot;
 
-    /// Re-seeds this shard from a snapshot taken by the *same* policy:
+    /// Re-seeds the frontier from a snapshot taken by the *same* policy:
     /// appends the snapshot's items in order and adopts any policy-private
     /// state. Callers check [`FrontierSnapshot::strategy`] against
-    /// [`PrescriptionStrategy::name`] before restoring.
+    /// [`PathStrategy::name`] before restoring.
     fn restore(&mut self, snapshot: FrontierSnapshot);
 }
 
-/// Depth-first selection (the paper's §III-B policy, and the default).
-///
-/// Generic over the scheduled item: `Dfs<Candidate>` (the default) is the
-/// sequential [`PathStrategy`], `Dfs<Prescription>` the shard-local
-/// [`PrescriptionStrategy`] — there the owner pops the deepest entry while
-/// thieves steal the shallowest (largest) pending subtree.
-#[derive(Debug)]
-pub struct Dfs<T = Candidate> {
-    stack: VecDeque<T>,
+/// Depth-first selection (the paper's §III-B policy, and the default): the
+/// owner pops the deepest entry while thieves steal the shallowest
+/// (largest) pending subtree.
+#[derive(Debug, Default)]
+pub struct Dfs {
+    stack: VecDeque<Prescription>,
 }
 
-impl<T> Dfs<T> {
+impl Dfs {
     /// Creates an empty depth-first frontier.
     pub fn new() -> Self {
-        Dfs {
-            stack: VecDeque::new(),
-        }
-    }
-
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
-        self.stack.push_back(item);
-    }
-
-    /// Removes and returns the deepest (most recently pushed) item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.stack.pop_back()
-    }
-
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
-        self.stack.len()
+        Dfs::default()
     }
 }
 
-impl<T> Default for Dfs<T> {
-    fn default() -> Self {
-        Dfs::new()
-    }
-}
-
-impl PathStrategy for Dfs<Candidate> {
-    fn name(&self) -> &'static str {
-        "dfs"
-    }
-
-    fn push(&mut self, candidate: Candidate) {
-        Dfs::push(self, candidate);
-    }
-
-    fn pop(&mut self) -> Option<Candidate> {
-        Dfs::pop(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        Dfs::frontier_len(self)
-    }
-}
-
-impl PrescriptionStrategy for Dfs<Prescription> {
+impl PathStrategy for Dfs {
     fn name(&self) -> &'static str {
         "dfs"
     }
 
     fn push(&mut self, prescription: Prescription) {
-        Dfs::push(self, prescription);
+        self.stack.push_back(prescription);
     }
 
     fn pop(&mut self) -> Option<Prescription> {
-        Dfs::pop(self)
+        self.stack.pop_back()
     }
 
     fn steal(&mut self) -> Option<Prescription> {
@@ -254,7 +148,7 @@ impl PrescriptionStrategy for Dfs<Prescription> {
     }
 
     fn frontier_len(&self) -> usize {
-        Dfs::frontier_len(self)
+        self.stack.len()
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
@@ -266,74 +160,31 @@ impl PrescriptionStrategy for Dfs<Prescription> {
     }
 }
 
-/// Breadth-first selection: oldest (shallowest) branch flips first.
-///
-/// Generic like [`Dfs`]; as a shard policy, thieves steal from the deep
-/// end while the owner drains shallow prefixes.
-#[derive(Debug)]
-pub struct Bfs<T = Candidate> {
-    queue: VecDeque<T>,
+/// Breadth-first selection: oldest (shallowest) branch flips first; thieves
+/// steal from the deep end while the owner drains shallow prefixes.
+#[derive(Debug, Default)]
+pub struct Bfs {
+    queue: VecDeque<Prescription>,
 }
 
-impl<T> Bfs<T> {
+impl Bfs {
     /// Creates an empty breadth-first frontier.
     pub fn new() -> Self {
-        Bfs {
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
-        self.queue.push_back(item);
-    }
-
-    /// Removes and returns the oldest (shallowest) item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.queue.pop_front()
-    }
-
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
-        self.queue.len()
+        Bfs::default()
     }
 }
 
-impl<T> Default for Bfs<T> {
-    fn default() -> Self {
-        Bfs::new()
-    }
-}
-
-impl PathStrategy for Bfs<Candidate> {
-    fn name(&self) -> &'static str {
-        "bfs"
-    }
-
-    fn push(&mut self, candidate: Candidate) {
-        Bfs::push(self, candidate);
-    }
-
-    fn pop(&mut self) -> Option<Candidate> {
-        Bfs::pop(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        Bfs::frontier_len(self)
-    }
-}
-
-impl PrescriptionStrategy for Bfs<Prescription> {
+impl PathStrategy for Bfs {
     fn name(&self) -> &'static str {
         "bfs"
     }
 
     fn push(&mut self, prescription: Prescription) {
-        Bfs::push(self, prescription);
+        self.queue.push_back(prescription);
     }
 
     fn pop(&mut self) -> Option<Prescription> {
-        Bfs::pop(self)
+        self.queue.pop_front()
     }
 
     fn steal(&mut self) -> Option<Prescription> {
@@ -341,7 +192,7 @@ impl PrescriptionStrategy for Bfs<Prescription> {
     }
 
     fn frontier_len(&self) -> usize {
-        Bfs::frontier_len(self)
+        self.queue.len()
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
@@ -358,16 +209,16 @@ impl PrescriptionStrategy for Bfs<Prescription> {
 /// program regions instead of draining one subtree.
 ///
 /// The generator is a deterministic xorshift64*, so a given seed always
-/// reproduces the same exploration order. Generic like [`Dfs`]; as a shard
-/// policy both the owner and thieves draw randomly (in a parallel session
-/// this only perturbs scheduling — the merged results are canonical).
+/// reproduces the same exploration order. Both the owner and thieves draw
+/// randomly (in a parallel session this only perturbs scheduling — the
+/// merged results are canonical).
 #[derive(Debug)]
-pub struct RandomRestart<T = Candidate> {
-    frontier: Vec<T>,
+pub struct RandomRestart {
+    frontier: Vec<Prescription>,
     state: u64,
 }
 
-impl<T> RandomRestart<T> {
+impl RandomRestart {
     /// Creates the strategy with an explicit seed (any value; 0 is mapped
     /// to a fixed nonzero constant).
     pub fn with_seed(seed: u64) -> Self {
@@ -415,14 +266,25 @@ impl<T> RandomRestart<T> {
             }
         }
     }
+}
 
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
-        self.frontier.push(item);
+impl Default for RandomRestart {
+    fn default() -> Self {
+        RandomRestart::new()
+    }
+}
+
+impl PathStrategy for RandomRestart {
+    fn name(&self) -> &'static str {
+        "random-restart"
+    }
+
+    fn push(&mut self, prescription: Prescription) {
+        self.frontier.push(prescription);
     }
 
     /// Removes and returns a uniformly pseudo-random item.
-    pub fn pop(&mut self) -> Option<T> {
+    fn pop(&mut self) -> Option<Prescription> {
         if self.frontier.is_empty() {
             return None;
         }
@@ -430,51 +292,8 @@ impl<T> RandomRestart<T> {
         Some(self.frontier.swap_remove(i))
     }
 
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
+    fn frontier_len(&self) -> usize {
         self.frontier.len()
-    }
-}
-
-impl<T> Default for RandomRestart<T> {
-    fn default() -> Self {
-        RandomRestart::new()
-    }
-}
-
-impl PathStrategy for RandomRestart<Candidate> {
-    fn name(&self) -> &'static str {
-        "random-restart"
-    }
-
-    fn push(&mut self, candidate: Candidate) {
-        RandomRestart::push(self, candidate);
-    }
-
-    fn pop(&mut self) -> Option<Candidate> {
-        RandomRestart::pop(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        RandomRestart::frontier_len(self)
-    }
-}
-
-impl PrescriptionStrategy for RandomRestart<Prescription> {
-    fn name(&self) -> &'static str {
-        "random-restart"
-    }
-
-    fn push(&mut self, prescription: Prescription) {
-        RandomRestart::push(self, prescription);
-    }
-
-    fn pop(&mut self) -> Option<Prescription> {
-        RandomRestart::pop(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        RandomRestart::frontier_len(self)
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
@@ -489,28 +308,6 @@ impl PrescriptionStrategy for RandomRestart<Prescription> {
         if let Some(state) = snapshot.rng_state {
             self.state = state;
         }
-    }
-}
-
-/// A frontier item that knows the branch flip it describes — the hook the
-/// [`CoverageGuided`] policy ranks by. Implemented by both frontier item
-/// kinds ([`Candidate`] and [`Prescription`]).
-pub trait BranchSited {
-    /// The branch site's program counter and the direction the flip would
-    /// *assert* (the opposite of what the parent path took). `None` for
-    /// the root prescription, which always schedules first.
-    fn flip_site(&self) -> Option<(u32, bool)>;
-}
-
-impl BranchSited for Candidate {
-    fn flip_site(&self) -> Option<(u32, bool)> {
-        self.prescription.flip_site()
-    }
-}
-
-impl BranchSited for Prescription {
-    fn flip_site(&self) -> Option<(u32, bool)> {
-        self.flip.map(|f| (f.pc, !f.taken))
     }
 }
 
@@ -531,18 +328,15 @@ impl BranchSited for Prescription {
 /// regardless of how the racy snapshots perturb scheduling (see
 /// [`crate::ParallelSession`]).
 ///
-/// Generic like [`Dfs`]: `CoverageGuided<Candidate>` (the default) is the
-/// sequential [`PathStrategy`] — pair it with a
-/// [`crate::CoverageObserver`] on the same map so executed paths feed the
-/// signal — and `CoverageGuided<Prescription>` the shard-local
-/// [`PrescriptionStrategy`], where thieves steal from the cold end (the
-/// oldest *covered* entry, falling back to the oldest entry).
-pub struct CoverageGuided<T = Candidate> {
-    frontier: Vec<T>,
+/// Pair it with a [`crate::CoverageObserver`] on the same map so executed
+/// paths feed the signal. Thieves steal from the cold end (the oldest
+/// *covered* entry, falling back to the oldest entry).
+pub struct CoverageGuided {
+    frontier: Vec<Prescription>,
     map: Arc<CoverageMap>,
 }
 
-impl<T> fmt::Debug for CoverageGuided<T> {
+impl fmt::Debug for CoverageGuided {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CoverageGuided")
             .field("frontier_len", &self.frontier.len())
@@ -551,7 +345,7 @@ impl<T> fmt::Debug for CoverageGuided<T> {
     }
 }
 
-impl<T: BranchSited> CoverageGuided<T> {
+impl CoverageGuided {
     /// Creates the strategy reading the shared coverage `map`.
     pub fn new(map: Arc<CoverageMap>) -> Self {
         CoverageGuided {
@@ -565,25 +359,29 @@ impl<T: BranchSited> CoverageGuided<T> {
         &self.map
     }
 
-    /// True when the direction this item's flip asserts has never been
-    /// observed at its branch site (the root prescription counts as
-    /// uncovered: it must run before anything else can).
-    fn is_uncovered(&self, item: &T) -> bool {
-        match item.flip_site() {
-            None => true,
-            Some((pc, dir)) => !self.map.is_direction_covered(pc, dir),
-        }
+    /// True when the direction this item's flip asserts (the opposite of
+    /// what the parent path took) has never been observed at its branch
+    /// site. The root prescription counts as uncovered: it must run before
+    /// anything else can.
+    fn is_uncovered(&self, item: &Prescription) -> bool {
+        item.flip
+            .map_or(true, |f| !self.map.is_direction_covered(f.pc, !f.taken))
+    }
+}
+
+impl PathStrategy for CoverageGuided {
+    fn name(&self) -> &'static str {
+        "coverage"
     }
 
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
-        self.frontier.push(item);
+    fn push(&mut self, prescription: Prescription) {
+        self.frontier.push(prescription);
     }
 
     /// Removes and returns the most recently pushed *uncovered* entry,
     /// falling back to the most recently pushed entry (plain depth-first)
     /// when every branch site is already covered.
-    pub fn pop(&mut self) -> Option<T> {
+    fn pop(&mut self) -> Option<Prescription> {
         let i = self
             .frontier
             .iter()
@@ -594,7 +392,7 @@ impl<T: BranchSited> CoverageGuided<T> {
 
     /// Removes and returns the entry the owner would schedule last: the
     /// oldest *covered* entry, falling back to the oldest entry.
-    pub fn steal(&mut self) -> Option<T> {
+    fn steal(&mut self) -> Option<Prescription> {
         if self.frontier.is_empty() {
             return None;
         }
@@ -606,49 +404,8 @@ impl<T: BranchSited> CoverageGuided<T> {
         Some(self.frontier.remove(i))
     }
 
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
+    fn frontier_len(&self) -> usize {
         self.frontier.len()
-    }
-}
-
-impl PathStrategy for CoverageGuided<Candidate> {
-    fn name(&self) -> &'static str {
-        "coverage"
-    }
-
-    fn push(&mut self, candidate: Candidate) {
-        CoverageGuided::push(self, candidate);
-    }
-
-    fn pop(&mut self) -> Option<Candidate> {
-        CoverageGuided::pop(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        CoverageGuided::frontier_len(self)
-    }
-}
-
-impl PrescriptionStrategy for CoverageGuided<Prescription> {
-    fn name(&self) -> &'static str {
-        "coverage"
-    }
-
-    fn push(&mut self, prescription: Prescription) {
-        CoverageGuided::push(self, prescription);
-    }
-
-    fn pop(&mut self) -> Option<Prescription> {
-        CoverageGuided::pop(self)
-    }
-
-    fn steal(&mut self) -> Option<Prescription> {
-        CoverageGuided::steal(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        CoverageGuided::frontier_len(self)
     }
 
     fn snapshot(&self) -> FrontierSnapshot {
@@ -673,19 +430,9 @@ impl PrescriptionStrategy for CoverageGuided<Prescription> {
 mod tests {
     use super::*;
     use crate::prescribe::{Flip, PathId};
-    use binsym_smt::TermManager;
 
-    fn candidate(ord: usize) -> Candidate {
-        let mut tm = TermManager::new();
-        let v = tm.var("c", 1);
-        let one = tm.bv_const(1, 1);
-        Candidate {
-            prefix: Vec::new(),
-            cond: tm.eq(v, one),
-            taken: true,
-            branch_ord: ord,
-            prescription: prescription(ord),
-        }
+    fn ord_of(p: Prescription) -> usize {
+        p.flip.expect("non-root").ord
     }
 
     fn prescription(ord: usize) -> Prescription {
@@ -707,12 +454,12 @@ mod tests {
     fn dfs_pops_most_recent_first() {
         let mut s = Dfs::new();
         for i in 0..3 {
-            s.push(candidate(i));
+            s.push(prescription(i));
         }
         assert_eq!(s.frontier_len(), 3);
-        assert_eq!(s.pop().unwrap().branch_ord, 2);
-        assert_eq!(s.pop().unwrap().branch_ord, 1);
-        assert_eq!(s.pop().unwrap().branch_ord, 0);
+        assert_eq!(s.pop().map(ord_of), Some(2));
+        assert_eq!(s.pop().map(ord_of), Some(1));
+        assert_eq!(s.pop().map(ord_of), Some(0));
         assert!(s.pop().is_none());
     }
 
@@ -720,11 +467,11 @@ mod tests {
     fn bfs_pops_oldest_first() {
         let mut s = Bfs::new();
         for i in 0..3 {
-            s.push(candidate(i));
+            s.push(prescription(i));
         }
-        assert_eq!(s.pop().unwrap().branch_ord, 0);
-        assert_eq!(s.pop().unwrap().branch_ord, 1);
-        assert_eq!(s.pop().unwrap().branch_ord, 2);
+        assert_eq!(s.pop().map(ord_of), Some(0));
+        assert_eq!(s.pop().map(ord_of), Some(1));
+        assert_eq!(s.pop().map(ord_of), Some(2));
         assert!(s.pop().is_none());
     }
 
@@ -733,11 +480,11 @@ mod tests {
         let order = |seed: u64| {
             let mut s = RandomRestart::with_seed(seed);
             for i in 0..8 {
-                s.push(candidate(i));
+                s.push(prescription(i));
             }
             let mut seen = Vec::new();
-            while let Some(c) = s.pop() {
-                seen.push(c.branch_ord);
+            while let Some(p) = s.pop() {
+                seen.push(ord_of(p));
             }
             seen
         };
@@ -746,26 +493,20 @@ mod tests {
         assert_eq!(a, b, "same seed, same order");
         let mut sorted = a.clone();
         sorted.sort_unstable();
-        assert_eq!(
-            sorted,
-            (0..8).collect::<Vec<_>>(),
-            "every candidate popped once"
-        );
+        assert_eq!(sorted, (0..8).collect::<Vec<_>>(), "every item popped once");
         assert_ne!(order(42), order(43), "different seeds diverge");
     }
 
     #[test]
     fn shard_policies_steal_from_the_cold_end() {
-        let ord_of = |p: Prescription| p.flip.unwrap().ord;
-
-        let mut dfs = Dfs::<Prescription>::new();
+        let mut dfs = Dfs::new();
         for i in 0..3 {
             dfs.push(prescription(i));
         }
         assert_eq!(dfs.steal().map(ord_of), Some(0), "dfs thief takes oldest");
         assert_eq!(dfs.pop().map(ord_of), Some(2), "dfs owner keeps newest");
 
-        let mut bfs = Bfs::<Prescription>::new();
+        let mut bfs = Bfs::new();
         for i in 0..3 {
             bfs.push(prescription(i));
         }
@@ -775,7 +516,7 @@ mod tests {
 
     #[test]
     fn shard_policies_hand_out_every_item_once() {
-        fn drain(mut s: Box<dyn PrescriptionStrategy>) -> Vec<usize> {
+        fn drain(mut s: Box<dyn PathStrategy>) -> Vec<usize> {
             let mut out = Vec::new();
             loop {
                 // Alternate owner pops and steals to exercise both ends.
@@ -785,7 +526,7 @@ mod tests {
                     s.steal()
                 };
                 match next {
-                    Some(p) => out.push(p.flip.unwrap().ord),
+                    Some(p) => out.push(ord_of(p)),
                     None => break,
                 }
             }
@@ -793,11 +534,11 @@ mod tests {
         }
         let map = Arc::new(CoverageMap::new(0x1000, 0x100));
         map.mark_direction(0x1004, false); // ord 1 covered: exercise ranking too
-        let policies: [Box<dyn PrescriptionStrategy>; 4] = [
-            Box::new(Dfs::<Prescription>::new()),
-            Box::new(Bfs::<Prescription>::new()),
-            Box::new(RandomRestart::<Prescription>::with_seed(7)),
-            Box::new(CoverageGuided::<Prescription>::new(map)),
+        let policies: [Box<dyn PathStrategy>; 4] = [
+            Box::new(Dfs::new()),
+            Box::new(Bfs::new()),
+            Box::new(RandomRestart::with_seed(7)),
+            Box::new(CoverageGuided::new(map)),
         ];
         for mut s in policies {
             for i in 0..6 {
@@ -817,14 +558,14 @@ mod tests {
         // uniformity of the *generator + draw* pipeline is what this sanity
         // test pins — each index must be hit in proportion over many draws.
         for len in [3usize, 5, 6, 7] {
-            let mut s = RandomRestart::<Prescription>::with_seed(0x5eed ^ len as u64);
+            let mut s = RandomRestart::with_seed(0x5eed ^ len as u64);
             let trials = 3000;
             let mut hits = vec![0u32; len];
             for _ in 0..trials {
                 for i in 0..len {
                     s.push(prescription(i));
                 }
-                let first = s.pop().expect("non-empty").flip.unwrap().ord;
+                let first = s.pop().expect("non-empty").flip.expect("non-root").ord;
                 hits[first] += 1;
                 while s.pop().is_some() {}
             }
@@ -842,13 +583,13 @@ mod tests {
     #[test]
     fn random_restart_rejection_sampling_stays_seed_deterministic() {
         let order = |seed: u64| {
-            let mut s = RandomRestart::<Prescription>::with_seed(seed);
+            let mut s = RandomRestart::with_seed(seed);
             for i in 0..7 {
                 s.push(prescription(i));
             }
             let mut seen = Vec::new();
             while let Some(p) = s.pop() {
-                seen.push(p.flip.unwrap().ord);
+                seen.push(p.flip.expect("non-root").ord);
             }
             seen
         };
@@ -858,7 +599,7 @@ mod tests {
     #[test]
     fn coverage_guided_prefers_uncovered_branch_sites() {
         let map = Arc::new(CoverageMap::new(0x1000, 0x100));
-        let mut s = CoverageGuided::<Prescription>::new(Arc::clone(&map));
+        let mut s = CoverageGuided::new(Arc::clone(&map));
         for i in 0..4 {
             s.push(prescription(i));
         }
@@ -871,18 +612,18 @@ mod tests {
         map.mark(0x100c);
         map.mark_direction(0x1008, false);
         map.mark_direction(0x100c, false);
-        assert_eq!(s.pop().unwrap().flip.unwrap().ord, 1);
-        assert_eq!(s.pop().unwrap().flip.unwrap().ord, 0);
+        assert_eq!(s.pop().unwrap().flip.expect("non-root").ord, 1);
+        assert_eq!(s.pop().unwrap().flip.expect("non-root").ord, 0);
         // All remaining sites covered: fall back to plain depth-first.
-        assert_eq!(s.pop().unwrap().flip.unwrap().ord, 3);
-        assert_eq!(s.pop().unwrap().flip.unwrap().ord, 2);
+        assert_eq!(s.pop().unwrap().flip.expect("non-root").ord, 3);
+        assert_eq!(s.pop().unwrap().flip.expect("non-root").ord, 2);
         assert!(s.pop().is_none());
     }
 
     #[test]
     fn coverage_guided_schedules_root_first_and_steals_covered_first() {
         let map = Arc::new(CoverageMap::new(0x1000, 0x100));
-        let mut s = CoverageGuided::<Prescription>::new(Arc::clone(&map));
+        let mut s = CoverageGuided::new(Arc::clone(&map));
         s.push(Prescription::root(
             vec![0],
             crate::memory::AddressPolicyKind::default(),
@@ -896,28 +637,29 @@ mod tests {
             s.push(prescription(i));
         }
         map.mark_direction(0x1004, false); // ord 1's flip direction covered
-        let stolen = PrescriptionStrategy::steal(&mut s).unwrap();
+        let stolen = s.steal().unwrap();
         assert_eq!(
-            stolen.flip.unwrap().ord,
+            stolen.flip.expect("non-root").ord,
             1,
             "thief takes the covered entry the owner wants least"
         );
         // No covered entries left: thief falls back to the oldest.
-        let stolen = PrescriptionStrategy::steal(&mut s).unwrap();
-        assert_eq!(stolen.flip.unwrap().ord, 0);
-        assert_eq!(s.pop().unwrap().flip.unwrap().ord, 2);
+        let stolen = s.steal().unwrap();
+        assert_eq!(stolen.flip.expect("non-root").ord, 0);
+        assert_eq!(s.pop().unwrap().flip.expect("non-root").ord, 2);
     }
 
     #[test]
     fn coverage_guided_serves_the_sequential_frontier_too() {
+        // The sequential session drives a policy through `pop` alone.
         let map = Arc::new(CoverageMap::new(0x1000, 0x100));
-        let mut s: Box<dyn PathStrategy> = Box::new(CoverageGuided::<Candidate>::new(map));
+        let mut s: Box<dyn PathStrategy> = Box::new(CoverageGuided::new(map));
         assert_eq!(s.name(), "coverage");
         for i in 0..3 {
-            s.push(candidate(i));
+            s.push(prescription(i));
         }
         assert_eq!(s.frontier_len(), 3);
-        let mut seen: Vec<usize> = std::iter::from_fn(|| s.pop().map(|c| c.branch_ord)).collect();
+        let mut seen: Vec<usize> = std::iter::from_fn(|| s.pop().map(ord_of)).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
     }

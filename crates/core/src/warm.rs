@@ -73,9 +73,9 @@ use crate::metrics::{Counter, Instruments, Phase};
 use crate::prescribe::Flip;
 use crate::session::PathExecutor;
 
-/// Default bound on cached parent contexts per worker
-/// ([`crate::SessionBuilder::warm_capacity`] overrides it). Unpromoted
-/// entries are cheap (a term manager and a trail), so the default leans
+/// Bound on cached parent contexts per worker (each half of a
+/// warm cache built by [`crate::SessionBuilder::warm_start`]). Unpromoted
+/// entries are cheap (a term manager and a trail), so the bound leans
 /// toward covering a depth-first worker's ancestor chain.
 pub const DEFAULT_WARM_CAPACITY: usize = 16;
 

@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use binsym_repro::asm::Assembler;
-use binsym_repro::binsym::{CoverageGuided, CoverageMap, CoverageObserver, Prescription, Session};
+use binsym_repro::binsym::{CoverageGuided, CoverageMap, CoverageObserver, Session};
 use binsym_repro::isa::Spec;
 
 const SCANNER: &str = r#"
@@ -110,8 +110,9 @@ fn budgeted_hunt(
     let builder = Session::builder(Spec::rv32im()).binary(elf);
     let builder = if coverage {
         let map = CoverageMap::shared_for(elf);
+        let policy_map = Arc::clone(&map);
         builder
-            .strategy(CoverageGuided::new(Arc::clone(&map)))
+            .strategy(move |_| Box::new(CoverageGuided::new(Arc::clone(&policy_map))))
             .observer(CoverageObserver::new(map))
     } else {
         builder
@@ -168,9 +169,7 @@ fn main() {
             .binary(&elf)
             .workers(workers)
             .limit(budget as u64)
-            .shard_strategy(move |_| {
-                Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
-            })
+            .strategy(move |_| Box::new(CoverageGuided::new(Arc::clone(&policy_map))))
             .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&map))))
             .build_parallel()
             .expect("builds");

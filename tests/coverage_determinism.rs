@@ -36,8 +36,8 @@ use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::bench::{policy_trajectory, SearchStrategy};
 use binsym_repro::binsym::{
     AddressPolicyKind, CheckpointEvent, ChromeTraceSink, Counter, CoverageGuided, CoverageMap,
-    CoverageObserver, MetricsRegistry, MetricsReport, Observer, PathRecord, Prescription, Session,
-    Summary, TraceSink,
+    CoverageObserver, MetricsRegistry, MetricsReport, Observer, PathRecord, Session, Summary,
+    TraceSink,
 };
 use binsym_repro::isa::Spec;
 
@@ -87,9 +87,7 @@ fn coverage_run_counted(
         .warm_start(warm)
         .static_analysis(analysis)
         .metrics(Arc::clone(&registry))
-        .shard_strategy(move |_| {
-            Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
-        })
+        .strategy(move |_| Box::new(CoverageGuided::new(Arc::clone(&policy_map))))
         .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&observer_map))));
     if let Some(limit) = limit {
         builder = builder.limit(limit);
@@ -259,9 +257,7 @@ fn instrumented_coverage_run(p: &Program, workers: usize) -> (Summary, Vec<PathR
         .warm_start(true)
         .metrics(Arc::clone(&registry))
         .trace(Arc::clone(&sink) as Arc<dyn TraceSink>)
-        .shard_strategy(move |_| {
-            Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
-        })
+        .strategy(move |_| Box::new(CoverageGuided::new(Arc::clone(&policy_map))))
         .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&observer_map))))
         .build_parallel()
         .expect("builds");
@@ -401,9 +397,7 @@ fn persistent_coverage_run(
         .workers(workers)
         .warm_start(true)
         .static_analysis(true)
-        .shard_strategy(move |_| {
-            Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
-        });
+        .strategy(move |_| Box::new(CoverageGuided::new(Arc::clone(&policy_map))));
     builder = match checkpoint {
         Some((live, kill)) => {
             let (src, dst, fire_at) = (kill.src.clone(), kill.dst.clone(), kill.fire_at);
@@ -595,9 +589,7 @@ fn table_lookup_coverage_guided_is_deterministic_under_every_policy() {
                 .binary(&elf)
                 .workers(workers)
                 .address_policy(policy)
-                .shard_strategy(move |_| {
-                    Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
-                })
+                .strategy(move |_| Box::new(CoverageGuided::new(Arc::clone(&policy_map))))
                 .observer_factory(move |_| {
                     Box::new(CoverageObserver::new(Arc::clone(&observer_map)))
                 })

@@ -52,7 +52,7 @@ use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::bench::{TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
 use binsym_repro::binsym::{
     AddressPolicyKind, CheckpointEvent, ChromeTraceSink, Counter, MetricsRegistry, MetricsReport,
-    Observer, PathRecord, Prescription, RandomRestart, Session, Summary, TraceSink, TrailEntry,
+    Observer, PathRecord, RandomRestart, Session, Summary, TraceSink, TrailEntry,
 };
 use binsym_repro::isa::Spec;
 
@@ -110,9 +110,7 @@ fn parallel_run_configured(
         .workers(workers)
         .warm_start(warm);
     if let Some(seed) = seed {
-        builder = builder.shard_strategy(move |i| {
-            Box::new(RandomRestart::<Prescription>::with_seed(seed + i as u64))
-        });
+        builder = builder.strategy(move |i| Box::new(RandomRestart::with_seed(seed + i as u64)));
     }
     if let Some(limit) = limit {
         builder = builder.limit(limit);

@@ -10,6 +10,12 @@
 //! run — pinned path count, decision-vector set, error paths, solver checks
 //! and executed steps.
 //!
+//! The witness *bytes* are solver model choices and differ per strategy,
+//! but each (strategy, gate) run is deterministic: its witness stream is
+//! pinned as an FNV-1a-64 hash of every path's input in discovery order,
+//! so a refactor of the frontier or the solver-frame bookkeeping that
+//! moves a single model byte fails here.
+//!
 //! `bubble-sort` (where the gate decides 70% of the flips) runs under
 //! `#[ignore]` so the debug-mode tier-1 suite stays fast; CI runs it in
 //! release with `--include-ignored`.
@@ -18,8 +24,8 @@ use std::sync::Arc;
 
 use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::binsym::{
-    Bfs, Candidate, CoverageGuided, CoverageMap, CoverageObserver, Dfs, PathStrategy,
-    RandomRestart, Session, Summary, TrailEntry,
+    Bfs, CoverageGuided, CoverageMap, CoverageObserver, Dfs, PathStrategy, RandomRestart, Session,
+    Summary, TrailEntry,
 };
 use binsym_repro::isa::Spec;
 
@@ -36,30 +42,51 @@ struct Pin {
 /// one path; witness bytes are solver model choices and are not compared.
 type PathKey = (Vec<bool>, String);
 
-/// One sequential exploration: its summary, sorted decision-vector set and
-/// sorted error-path set.
-fn explore(p: &Program, strategy: &str, analysis: bool) -> (Summary, Vec<Vec<bool>>, Vec<PathKey>) {
+/// One sequential exploration: its summary, sorted decision-vector set,
+/// sorted error-path set, and witness-stream fingerprint.
+struct Explored {
+    summary: Summary,
+    decisions: Vec<Vec<bool>>,
+    errors: Vec<PathKey>,
+    witnesses: u64,
+}
+
+/// FNV-1a-64 over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn explore(p: &Program, strategy: &str, analysis: bool) -> Explored {
     let elf = p.build();
     let map = CoverageMap::shared_for(&elf);
-    let policy: Box<dyn PathStrategy> = match strategy {
-        "dfs" => Box::new(Dfs::<Candidate>::new()),
-        "bfs" => Box::new(Bfs::<Candidate>::new()),
-        "random-restart" => Box::new(RandomRestart::<Candidate>::new()),
-        "coverage" => Box::new(CoverageGuided::<Candidate>::new(Arc::clone(&map))),
-        other => unreachable!("unknown strategy {other}"),
-    };
+    let policy_map = Arc::clone(&map);
+    let strategy = strategy.to_string();
     let mut session = Session::builder(Spec::rv32im())
         .binary(&elf)
         .static_analysis(analysis)
-        .strategy(policy)
+        .strategy(move |_| -> Box<dyn PathStrategy> {
+            match strategy.as_str() {
+                "dfs" => Box::new(Dfs::new()),
+                "bfs" => Box::new(Bfs::new()),
+                "random-restart" => Box::new(RandomRestart::new()),
+                "coverage" => Box::new(CoverageGuided::new(Arc::clone(&policy_map))),
+                other => unreachable!("unknown strategy {other}"),
+            }
+        })
         // Feeds the coverage strategy's map; the other strategies ignore it.
         .observer(CoverageObserver::new(map))
         .build()
         .expect("builds");
     let mut decisions = Vec::new();
     let mut errors = Vec::new();
+    let mut witnesses = FNV_OFFSET;
     for outcome in session.paths() {
         let outcome = outcome.expect("path executes");
+        witnesses = fnv1a(witnesses, &outcome.input);
         let d: Vec<bool> = outcome
             .trail
             .iter()
@@ -75,12 +102,37 @@ fn explore(p: &Program, strategy: &str, analysis: bool) -> (Summary, Vec<Vec<boo
     }
     decisions.sort();
     errors.sort();
-    (session.summary(), decisions, errors)
+    Explored {
+        summary: session.summary(),
+        decisions,
+        errors,
+        witnesses,
+    }
 }
 
-fn check_strategies(p: &Program, pin: &Pin) {
+/// Witness-stream fingerprints per strategy, as `(strategy, gate on, gate
+/// off)`.
+type Witnesses = [(&'static str, u64, u64); 4];
+
+fn check_strategies(p: &Program, pin: &Pin, witnesses: &Witnesses) {
+    let pinned = |strategy: &str, analysis: bool| {
+        let &(_, on, off) = witnesses
+            .iter()
+            .find(|w| w.0 == strategy)
+            .expect("pinned strategy");
+        if analysis {
+            on
+        } else {
+            off
+        }
+    };
     for analysis in [true, false] {
-        let (reference, ref_decisions, ref_errors) = explore(p, "dfs", analysis);
+        let Explored {
+            summary: reference,
+            decisions: ref_decisions,
+            errors: ref_errors,
+            witnesses: ref_witnesses,
+        } = explore(p, "dfs", analysis);
         let checks = if analysis {
             pin.checks_gate_on
         } else {
@@ -102,9 +154,15 @@ fn check_strategies(p: &Program, pin: &Pin) {
             reference.error_paths.len(),
             "{what}: error paths"
         );
+        assert_eq!(ref_witnesses, pinned("dfs", analysis), "{what}: witnesses");
 
         for strategy in ["bfs", "random-restart", "coverage"] {
-            let (summary, decisions, errors) = explore(p, strategy, analysis);
+            let Explored {
+                summary,
+                decisions,
+                errors,
+                witnesses,
+            } = explore(p, strategy, analysis);
             let what = format!("{} {strategy}, gate {analysis}", p.name);
             assert_eq!(summary.paths, pin.paths, "{what}: paths");
             assert_eq!(summary.solver_checks, checks, "{what}: solver checks");
@@ -112,6 +170,7 @@ fn check_strategies(p: &Program, pin: &Pin) {
             assert_eq!(summary.max_trail_len, pin.max_trail_len, "{what}");
             assert_eq!(decisions, ref_decisions, "{what}: decision vectors");
             assert_eq!(errors, ref_errors, "{what}: error paths");
+            assert_eq!(witnesses, pinned(strategy, analysis), "{what}: witnesses");
         }
     }
 }
@@ -127,6 +186,24 @@ fn clif_parser_every_strategy_matches_dfs() {
             checks_gate_on: 119,
             checks_gate_off: 119,
         },
+        &[
+            (
+                "dfs",
+                18_231_545_885_294_919_395,
+                18_231_545_885_294_919_395,
+            ),
+            ("bfs", 4_322_064_395_041_548_982, 4_322_064_395_041_548_982),
+            (
+                "random-restart",
+                13_203_323_258_179_125_642,
+                13_203_323_258_179_125_642,
+            ),
+            (
+                "coverage",
+                10_449_794_359_400_575_733,
+                10_449_794_359_400_575_733,
+            ),
+        ],
     );
 }
 
@@ -142,5 +219,19 @@ fn bubble_sort_every_strategy_matches_dfs() {
             checks_gate_on: 719,
             checks_gate_off: 2421,
         },
+        &[
+            ("dfs", 5_107_667_048_996_585_023, 7_698_550_740_837_530_341),
+            ("bfs", 17_931_760_510_743_087_848, 5_682_947_122_863_632_850),
+            (
+                "random-restart",
+                7_927_981_281_171_874_306,
+                10_099_232_367_759_210_837,
+            ),
+            (
+                "coverage",
+                5_107_667_048_996_585_023,
+                7_698_550_740_837_530_341,
+            ),
+        ],
     );
 }

@@ -117,9 +117,9 @@ fn bfs_and_dfs_discover_the_same_paths_in_different_orders() {
         let elf = assemble(TWO_COMPARES);
         let mut builder = Session::builder(Spec::rv32im()).binary(&elf);
         builder = if bfs {
-            builder.strategy(Bfs::new())
+            builder.strategy(|_| Box::new(Bfs::new()))
         } else {
-            builder.strategy(Dfs::new())
+            builder.strategy(|_| Box::new(Dfs::new()))
         };
         let mut session = builder.build().expect("builds");
         let inputs: Vec<Vec<u8>> = session
@@ -187,7 +187,7 @@ fn random_restart_and_alternate_backends_reproduce_quickstart_counts() {
             };
             let s = Session::builder(Spec::rv32im())
                 .binary(&elf)
-                .strategy(make())
+                .strategy(move |_| make())
                 .backend(backend)
                 .build()
                 .expect("builds")
